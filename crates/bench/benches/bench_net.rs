@@ -160,8 +160,8 @@ fn bench_delivery_batching(c: &mut Criterion) {
 ///
 /// Scales: 10⁴ and 10⁵ nodes always; the 10⁶-node row only when
 /// `RTX_BENCH_HUGE` is set (it is minutes of work on small hosts).
-/// Initial configurations come from `Configuration::initial_lean`,
-/// which skips the Θ(n²) `All`-fact population for oblivious machines.
+/// Every node's state shares one `All` relation, so building the
+/// initial configuration costs O(n).
 fn bench_sparse_frontier(c: &mut Criterion) {
     let schema = rtx_relational::Schema::new().with("S", 1);
     let input = set_input(1);
@@ -180,7 +180,7 @@ fn bench_sparse_frontier(c: &mut Criterion) {
         let budget = RunBudget::steps(usize::MAX / 2);
         group.bench_with_input(BenchmarkId::new("sparse", label), &net, |b, net| {
             b.iter_with(net_cal(), || {
-                let cfg = Configuration::initial_lean(net, &t, &p).unwrap();
+                let cfg = Configuration::initial(net, &t, &p).unwrap();
                 let out = run_sparse_from(net, &t, cfg, &ShardOptions::serial(), &budget).unwrap();
                 assert!(out.outcome.quiescent);
                 assert!(

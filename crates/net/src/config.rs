@@ -11,10 +11,11 @@ use crate::error::NetError;
 use crate::fault::SendFate;
 use crate::partition::HorizontalPartition;
 use crate::topology::{Network, NodeId};
-use rtx_relational::{Fact, FactMultiset, Instance, Relation};
+use rtx_relational::{Fact, FactMultiset, Instance, Relation, StorageMode};
 use rtx_transducer::Transducer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A send interceptor for the scheduler-driven executor: decides the
 /// fate of the `k`-th fact a transitioning node sends to one neighbor.
@@ -135,12 +136,20 @@ impl Configuration {
     /// The initial configuration for a horizontal partition: every node
     /// holds its input fragment, `Id`/`All` are set, memory and buffers
     /// are empty (paper, Section 4).
+    ///
+    /// `All` is built once, as one relation of n tuples, and every
+    /// node's state shares it (see
+    /// [`rtx_transducer::TransducerSchema::initial_state_sharing`]): the
+    /// configuration costs O(n) facts, not Θ(n²), and a step never
+    /// copies it.
     pub fn initial(
         net: &Network,
         transducer: &Transducer,
         partition: &HorizontalPartition,
     ) -> Result<Self, NetError> {
-        let all = net.node_set();
+        let all = rtx_transducer::all_relation(StorageMode::global(), &net.node_set())
+            .map_err(NetError::Rel)?;
+        let all = Arc::new(all);
         let mut states = BTreeMap::new();
         let mut buffers = BTreeMap::new();
         for node in net.nodes() {
@@ -149,7 +158,7 @@ impl Configuration {
                 .ok_or_else(|| NetError::Partition(format!("no fragment for node {node}")))?;
             let state = transducer
                 .schema()
-                .initial_state(fragment, node, &all)
+                .initial_state_sharing(fragment, node, &all)
                 .map_err(NetError::Rel)?;
             states.insert(*node, state);
             buffers.insert(*node, Vec::new());
@@ -157,48 +166,15 @@ impl Configuration {
         Ok(Configuration { states, buffers })
     }
 
-    /// Like [`Configuration::initial`], but the `All` system relation is
-    /// populated *on demand*: only when some query of the transducer
-    /// actually references `All` (per [`rtx_transducer::Classification`],
-    /// the same syntactic check the obliviousness analysis uses).
-    ///
-    /// Eagerly materializing `All` at every node costs Θ(n²) facts on an
-    /// n-node network — prohibitive at the 10⁵–10⁶ node scales the
-    /// sparse executor targets — while `All`-free transducers (every
-    /// oblivious machine, including the flooding constructions) never
-    /// read it. For transducers that do reference `All` this is
-    /// identical to [`Configuration::initial`]; for the rest, the only
-    /// difference is the absent (never-consulted) `All` tuples, so run
-    /// outputs, logs, and quiescence verdicts are unaffected — only
-    /// `final_config` comparisons against eagerly-built configurations
-    /// would notice.
+    /// An alias of [`Configuration::initial`], kept for existing
+    /// callers. With one `All` shared by every node, leaving `All` empty
+    /// for transducers that never read it would save nothing.
     pub fn initial_lean(
         net: &Network,
         transducer: &Transducer,
         partition: &HorizontalPartition,
     ) -> Result<Self, NetError> {
-        let uses_all = rtx_transducer::Classification::of(transducer)
-            .system_usage
-            .uses_all;
-        let all = if uses_all {
-            net.node_set()
-        } else {
-            BTreeSet::new()
-        };
-        let mut states = BTreeMap::new();
-        let mut buffers = BTreeMap::new();
-        for node in net.nodes() {
-            let fragment = partition
-                .fragment(node)
-                .ok_or_else(|| NetError::Partition(format!("no fragment for node {node}")))?;
-            let state = transducer
-                .schema()
-                .initial_state(fragment, node, &all)
-                .map_err(NetError::Rel)?;
-            states.insert(*node, state);
-            buffers.insert(*node, Vec::new());
-        }
-        Ok(Configuration { states, buffers })
+        Configuration::initial(net, transducer, partition)
     }
 
     /// Decompose into per-node `(state, buffer)` pairs, in node order.
@@ -417,7 +393,7 @@ impl Configuration {
             .get(node)
             .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
         let res = transducer.step(state, &received).map_err(NetError::Eval)?;
-        let state_changed = &res.new_state != state;
+        let state_changed = res.memory_changed;
         let sent: Vec<Fact> = res.sent.facts().collect();
         let mut enqueued = 0usize;
         for neighbor in net.neighbors(node) {
@@ -789,48 +765,36 @@ mod tests {
     }
 
     #[test]
-    fn initial_lean_skips_all_for_oblivious_transducers() {
+    fn initial_lean_equals_initial() {
         let net = Network::line(3).unwrap();
         let t = flooder(); // references neither Id nor All
         let full = Instance::from_facts(Schema::new().with("S", 1), vec![fact!("S", 7)]).unwrap();
         let p = HorizontalPartition::round_robin(&net, &full);
         let lean = Configuration::initial_lean(&net, &t, &p).unwrap();
-        let eager = Configuration::initial(&net, &t, &p).unwrap();
+        assert_eq!(lean, Configuration::initial(&net, &t, &p).unwrap());
         for n in net.nodes() {
-            let st = lean.state(n).unwrap();
-            assert!(st.relation(&"All".into()).unwrap().is_empty(), "{n}");
-            // Id stays: it is O(1) per node and some fault tooling reads it
-            assert_eq!(st.relation(&"Id".into()).unwrap().len(), 1);
-            // everything except All matches the eager configuration
-            let es = eager.state(n).unwrap();
-            for rel in ["S", "T", "Id"] {
-                assert_eq!(
-                    st.relation(&rel.into()).unwrap(),
-                    es.relation(&rel.into()).unwrap()
-                );
-            }
+            let all = lean.state(n).unwrap().relation_ref(&"All".into());
+            assert_eq!(all.map(Relation::len), Some(3), "{n}");
         }
     }
 
     #[test]
-    fn initial_lean_populates_all_when_referenced() {
-        // a transducer whose output query reads All
-        let t = TransducerBuilder::new("all-reader")
-            .input_relation("S", 1)
-            .message_relation("M", 1)
-            .output_arity(1)
-            .output(cq(CqBuilder::head(vec![Term::var("X")])
-                .when(atom!("All"; @"X"))
-                .build()
-                .unwrap()))
-            .build()
-            .unwrap();
-        let net = Network::line(3).unwrap();
-        let full = Instance::from_facts(Schema::new().with("S", 1), Vec::new()).unwrap();
-        let p = HorizontalPartition::replicate(&net, &full);
-        let lean = Configuration::initial_lean(&net, &t, &p).unwrap();
-        let eager = Configuration::initial(&net, &t, &p).unwrap();
-        assert_eq!(lean, eager, "All-referencing transducers get the full set");
+    fn initial_shares_one_all_relation_on_grid_256() {
+        let net = Network::grid(16, 16).unwrap();
+        let t = flooder();
+        let full = Instance::from_facts(Schema::new().with("S", 1), vec![fact!("S", 7)]).unwrap();
+        let p = HorizontalPartition::round_robin(&net, &full);
+        let cfg = Configuration::initial(&net, &t, &p).unwrap();
+        let all_of = |n: &NodeId| cfg.state(n).unwrap().relation_ref(&"All".into()).unwrap();
+        let first = all_of(net.nodes().next().unwrap());
+        assert_eq!(first.len(), 256);
+        for n in net.nodes() {
+            let all = all_of(n);
+            assert!(std::ptr::eq(all, first), "{n} holds its own All");
+            if let (Some(a), Some(b)) = (all.columnar_run(), first.columnar_run()) {
+                assert!(Arc::ptr_eq(&a, &b), "{n}: All is not one run");
+            }
+        }
     }
 
     #[test]

@@ -303,6 +303,19 @@ pub(crate) struct StepOut {
     /// at the barrier — the merged trace is deterministic regardless
     /// of which shard ran the job.
     pub(crate) events: Vec<rtx_obs::Event>,
+    /// Registry updates made while computing this step (empty below
+    /// `RTX_TRACE=counters`), recorded in a frame of their own and
+    /// spliced into the coordinator's capture frame with the events.
+    pub(crate) metrics: rtx_obs::Snapshot,
+}
+
+impl StepOut {
+    /// Hand this step's trace events and registry updates to the
+    /// coordinator's capture frame (call in node order at the barrier).
+    pub(crate) fn splice_obs(&mut self) {
+        trace::splice(std::mem::take(&mut self.events));
+        rtx_obs::registry::splice(&self.metrics);
+    }
 }
 
 /// What a phase job does at its node.
@@ -443,6 +456,7 @@ pub(crate) fn step_node(
 ) -> Result<StepOut, NetError> {
     let tracing = rtx_obs::tracing();
     let mark = if tracing { trace::mark() } else { 0 };
+    let frame = rtx_obs::counting().then(rtx_obs::registry::open_frame);
     let span_name = match &kind {
         JobKind::Heartbeat => "step.heartbeat",
         JobKind::Deliver(_) => "step.deliver",
@@ -451,7 +465,10 @@ pub(crate) fn step_node(
     if tracing {
         trace::begin("net", span_name, &[("node", idx as i64)]);
     }
-    let mut out = step_node_inner(transducer, state, kind)?;
+    let res = step_node_inner(transducer, state, kind);
+    let metrics = frame.map(rtx_obs::registry::close_frame);
+    let mut out = res?;
+    out.metrics = metrics.unwrap_or_default();
     if tracing {
         if !out.sent.is_empty() {
             trace::instant(
@@ -484,17 +501,19 @@ fn step_node_inner(
                 sent: Vec::new(),
                 state_changed: cleared,
                 events: Vec::new(),
+                metrics: Default::default(),
             });
         }
     }
     let res = transducer.step(state, &rcv).map_err(NetError::Eval)?;
-    let state_changed = res.new_state != *state;
+    let state_changed = res.memory_changed;
     *state = res.new_state;
     Ok(StepOut {
         output: res.output,
         sent: res.sent.facts().collect(),
         state_changed,
         events: Vec::new(),
+        metrics: Default::default(),
     })
 }
 
@@ -757,7 +776,7 @@ fn drive(
         let mut all_quiet = true;
         for (idx, kind) in jobs {
             let mut res = results.remove(&idx).ok_or_else(worker_gone)?;
-            trace::splice(std::mem::take(&mut res.events));
+            res.splice_obs();
             let new_out = !res.output.is_subset(output);
             if res.state_changed || !res.sent.is_empty() || new_out {
                 all_quiet = false;
@@ -885,7 +904,7 @@ fn drive(
                 let mut results = engine.execute(wipes.clone())?;
                 for (idx, _) in wipes {
                     if let Some(mut res) = results.remove(&idx) {
-                        trace::splice(std::mem::take(&mut res.events));
+                        res.splice_obs();
                     }
                 }
             }

@@ -206,8 +206,7 @@ pub fn run_sparse(
     run_sparse_from(net, transducer, cfg, opts, budget)
 }
 
-/// [`run_sparse`] from an explicit configuration (pair with
-/// [`Configuration::initial_lean`] at large scales).
+/// [`run_sparse`] from an explicit configuration.
 pub fn run_sparse_from(
     net: &Network,
     transducer: &Transducer,
@@ -350,7 +349,7 @@ fn drive_sparse(
         for (idx, kind) in jobs {
             let idx = *idx;
             let mut res = results.remove(&idx).ok_or_else(worker_gone)?;
-            trace::splice(std::mem::take(&mut res.events));
+            res.splice_obs();
             let new_out = !res.output.is_subset(output);
             let quiet = !res.state_changed && res.sent.is_empty() && !new_out;
             quiet_flags.push((idx, quiet));
@@ -465,7 +464,7 @@ fn drive_sparse(
                 let mut results = engine.execute(wipes.clone())?;
                 for (idx, _) in wipes {
                     if let Some(mut res) = results.remove(&idx) {
-                        trace::splice(std::mem::take(&mut res.events));
+                        res.splice_obs();
                     }
                 }
             }

@@ -6,7 +6,17 @@
 //! plain `u64`s behind a mutex — every publish site is a cold path
 //! (end of a run, a promotion, a stratum close), never a per-tuple
 //! loop.
+//!
+//! Every update goes to the process-global registry. It also goes to
+//! the publishing thread's open capture *frame*, if any
+//! ([`open_frame`]/[`close_frame`]), which is how
+//! [`crate::trace::capture_run`] reports exactly what its own run
+//! published while other threads publish into the same global
+//! registry. Worker shards run each job in a frame of their own and
+//! ship it to the coordinator, which [`splice`]s it into its frame at
+//! the merge barrier, exactly as it does with event fragments.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -79,17 +89,11 @@ impl Hist {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Hist>,
-}
-
 /// A process-global (or test-local) registry of named counters and
 /// histograms.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<Inner>,
+    inner: Mutex<Snapshot>,
 }
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -107,70 +111,98 @@ impl Registry {
         GLOBAL.get_or_init(Registry::default)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Snapshot> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Add `delta` to the named counter.
     pub fn add(&self, name: &str, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        let mut g = self.lock();
-        match g.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                g.counters.insert(name.to_string(), delta);
-            }
+        if delta > 0 {
+            self.lock().add(name, delta);
         }
     }
 
     /// Record one observation into the named histogram.
     pub fn record(&self, name: &str, value: u64) {
-        let mut g = self.lock();
-        match g.hists.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Hist::default();
-                h.record(value);
-                g.hists.insert(name.to_string(), h);
-            }
-        }
+        self.lock().record(name, value);
     }
 
     /// A point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> Snapshot {
-        let g = self.lock();
-        Snapshot {
-            counters: g.counters.clone(),
-            hists: g.hists.clone(),
-        }
+        self.lock().clone()
     }
 
     /// Clear every counter and histogram (tests and experiment
     /// binaries that run several configurations in one process).
     pub fn reset(&self) {
-        let mut g = self.lock();
-        g.counters.clear();
-        g.hists.clear();
+        *self.lock() = Snapshot::default();
     }
 }
 
-/// Convenience: add to a named counter in the global registry when
-/// counting is enabled.
+thread_local! {
+    /// This thread's open capture frame, if any.
+    static FRAME: RefCell<Option<Snapshot>> = const { RefCell::new(None) };
+}
+
+fn in_frame(f: impl FnOnce(&mut Snapshot)) {
+    FRAME.with(|fr| {
+        if let Some(s) = fr.borrow_mut().as_mut() {
+            f(s)
+        }
+    });
+}
+
+/// Convenience: add to a named counter in the global registry (and in
+/// this thread's open capture frame) when counting is enabled.
 #[inline]
 pub fn add(name: &str, delta: u64) {
     if crate::counting() {
         Registry::global().add(name, delta);
+        in_frame(|s| s.add(name, delta));
     }
 }
 
 /// Convenience: record into a named histogram in the global registry
-/// when counting is enabled.
+/// (and in this thread's open capture frame) when counting is enabled.
 #[inline]
 pub fn record(name: &str, value: u64) {
     if crate::counting() {
         Registry::global().record(name, value);
+        in_frame(|s| s.record(name, value));
+    }
+}
+
+/// The frame that was open on a thread before [`open_frame`]; hand it
+/// back to [`close_frame`].
+#[must_use = "pass the enclosing frame to close_frame"]
+pub struct Frame {
+    enclosing: Option<Snapshot>,
+}
+
+/// Open a fresh capture frame on this thread: until the matching
+/// [`close_frame`], every [`add`]/[`record`] made on this thread also
+/// lands in it. Frames nest; the enclosing frame is set aside, not
+/// fed, while the new one is open.
+pub fn open_frame() -> Frame {
+    Frame {
+        enclosing: FRAME.with(|fr| fr.replace(Some(Snapshot::default()))),
+    }
+}
+
+/// Close this thread's open frame, restore the enclosing one, and
+/// return what the closed frame recorded.
+pub fn close_frame(frame: Frame) -> Snapshot {
+    FRAME
+        .with(|fr| fr.replace(frame.enclosing))
+        .unwrap_or_default()
+}
+
+/// Add activity recorded in another frame (a worker's job) to this
+/// thread's open frame. The global registry is not touched: it
+/// received those updates when they were made.
+pub fn splice(recorded: &Snapshot) {
+    if !recorded.counters.is_empty() || !recorded.hists.is_empty() {
+        in_frame(|s| s.absorb(recorded));
     }
 }
 
@@ -195,6 +227,31 @@ impl Snapshot {
     /// The named histogram, if any observation was recorded.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists.get(name)
+    }
+
+    /// Add `delta` to the named counter.
+    pub fn add(&mut self, name: &str, delta: u64) {
+        if delta == 0 {
+            return;
+        }
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
+    }
+
+    /// Record one observation into the named histogram.
+    pub fn record(&mut self, name: &str, value: u64) {
+        match self.hists.get_mut(name) {
+            Some(h) => h.record(value),
+            None => {
+                let mut h = Hist::default();
+                h.record(value);
+                self.hists.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Nothing recorded?

@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-use crate::registry::Registry;
+use crate::registry;
 use crate::timeline::RunTrace;
 
 /// How much the observability layer records, from the `RTX_TRACE`
@@ -274,17 +274,21 @@ pub fn splice(events: Vec<Event>) {
 
 /// Run `f` in a fresh capture frame and return its result plus the
 /// [`RunTrace`] of everything recorded on this thread (including
-/// fragments spliced in from workers) and the registry delta of the
-/// run. Frames nest: the enclosing frame's events are saved and
-/// restored around `f`.
+/// fragments spliced in from workers) and the registry updates the run
+/// made: those published on this thread or spliced in from its workers
+/// (see [`registry::open_frame`]), never what other threads publish
+/// meanwhile. Frames nest: the enclosing frame's events are saved and
+/// restored around `f`, and its registry frame also receives the
+/// nested run's updates.
 pub fn capture_run<T>(f: impl FnOnce() -> T) -> (T, RunTrace) {
     let prev = SINK.with(|s| s.take());
-    let snap0 = Registry::global().snapshot();
+    let frame = registry::open_frame();
     let dropped0 = dropped();
     let out = f();
     let events = SINK.with(|s| s.take());
     SINK.with(|s| *s.borrow_mut() = prev);
-    let counters = Registry::global().snapshot().diff(&snap0);
+    let counters = registry::close_frame(frame);
+    registry::splice(&counters);
     let trace = RunTrace {
         events,
         counters,

@@ -310,8 +310,8 @@ impl MaintainedFixpoint {
                 "MaintainedFixpoint::apply before initialize".into(),
             ));
         }
-        self.stats.deltas_applied += 1;
         let stats0 = rtx_obs::counting().then(|| self.stats.clone());
+        self.stats.deltas_applied += 1;
         let _apply_span = rtx_obs::trace::span("query", "dred.apply", &[]);
         if delta.is_empty() {
             self.stats.strata_skipped += self.strata.len() as u64;

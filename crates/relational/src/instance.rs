@@ -9,6 +9,7 @@ use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// An instance of a database schema.
 ///
@@ -20,10 +21,18 @@ use std::fmt;
 /// An instance remembers the [`StorageMode`] it was built in and uses it
 /// for every relation it creates internally; the mode is an evaluation
 /// detail and never takes part in equality.
+///
+/// Relations are held by `Arc` and copied on write: cloning an
+/// instance, [`Instance::union`], [`Instance::restrict`] and
+/// [`Instance::widen`] cost O(#relations) and share every relation
+/// they do not change with their source. A mutation through one
+/// instance copies the relation it touches first, so sharing is never
+/// observable except through [`Instance::relation_ref`] pointer
+/// identity.
 #[derive(Clone)]
 pub struct Instance {
     schema: Schema,
-    relations: BTreeMap<RelName, Relation>,
+    relations: BTreeMap<RelName, Arc<Relation>>,
     mode: StorageMode,
 }
 
@@ -88,7 +97,7 @@ impl Instance {
     /// an error.
     pub fn relation(&self, name: &RelName) -> Result<Relation, RelError> {
         match self.relations.get(name) {
-            Some(r) => Ok(r.clone()),
+            Some(r) => Ok(Relation::clone(r)),
             None => match self.schema.arity(name) {
                 Some(a) => Ok(Relation::empty_in(self.mode, a)),
                 None => Err(RelError::UnknownRelation { rel: name.clone() }),
@@ -98,8 +107,10 @@ impl Instance {
 
     /// Borrowing lookup: `None` when the relation is unpopulated or
     /// undeclared (use [`Instance::relation`] for the validating form).
+    /// Two instances share a relation exactly when their references are
+    /// pointer-equal (`std::ptr::eq`).
     pub fn relation_ref(&self, name: &RelName) -> Option<&Relation> {
-        self.relations.get(name)
+        self.relations.get(name).map(Arc::as_ref)
     }
 
     /// Insert a fact.
@@ -108,10 +119,11 @@ impl Instance {
         let (rel, tuple) = fact.into_parts();
         let arity = tuple.arity();
         let mode = self.mode;
-        self.relations
+        let slot = self
+            .relations
             .entry(rel)
-            .or_insert_with(|| Relation::empty_in(mode, arity))
-            .insert(tuple)
+            .or_insert_with(|| Arc::new(Relation::empty_in(mode, arity)));
+        Arc::make_mut(slot).insert(tuple)
     }
 
     /// Insert a whole relation under `name`, replacing the previous value.
@@ -120,29 +132,40 @@ impl Instance {
         name: impl Into<RelName>,
         rel: Relation,
     ) -> Result<(), RelError> {
+        self.set_shared_relation(name, Arc::new(rel))
+    }
+
+    /// Insert a whole relation under `name` **without copying it**: the
+    /// instance holds another `Arc` to `rel`, so many instances can
+    /// share one relation (every node state of a network shares one
+    /// `All`). A relation in another storage mode is re-housed first,
+    /// which does copy it.
+    pub fn set_shared_relation(
+        &mut self,
+        name: impl Into<RelName>,
+        rel: Arc<Relation>,
+    ) -> Result<(), RelError> {
         let name = name.into();
-        match self.schema.arity(&name) {
-            None => return Err(RelError::UnknownRelation { rel: name }),
-            Some(a) if a != rel.arity() => {
-                return Err(RelError::ArityMismatch {
-                    rel: name,
-                    expected: a,
-                    found: rel.arity(),
-                })
-            }
-            Some(_) => {}
-        }
+        self.check_arity(&name, rel.arity())?;
         if rel.is_empty() {
             self.relations.remove(&name);
         } else {
-            // Keep the instance storage-homogeneous: query outputs
-            // arrive as plain columnar runs whatever the instance
-            // mode; re-house them. Under the adaptive engine this is
-            // the bulk-rebuild point where a shrunken relation
-            // re-enters the small regime.
-            self.relations.insert(name, rel.into_mode(self.mode));
+            self.relations.insert(name, share_in(rel, self.mode));
         }
         Ok(())
+    }
+
+    /// `name` is declared with arity `arity`.
+    fn check_arity(&self, name: &RelName, arity: usize) -> Result<(), RelError> {
+        match self.schema.arity(name) {
+            None => Err(RelError::UnknownRelation { rel: name.clone() }),
+            Some(a) if a != arity => Err(RelError::ArityMismatch {
+                rel: name.clone(),
+                expected: a,
+                found: arity,
+            }),
+            Some(_) => Ok(()),
+        }
     }
 
     /// Snapshot the storage counters of every populated relation, in
@@ -164,38 +187,29 @@ impl Instance {
         name: &RelName,
         run: &crate::runs::Run,
     ) -> Result<usize, RelError> {
-        match self.schema.arity(name) {
-            None => return Err(RelError::UnknownRelation { rel: name.clone() }),
-            Some(a) if a != run.arity() => {
-                return Err(RelError::ArityMismatch {
-                    rel: name.clone(),
-                    expected: a,
-                    found: run.arity(),
-                })
-            }
-            Some(_) => {}
-        }
+        self.check_arity(name, run.arity())?;
         if run.is_empty() {
             return Ok(0);
         }
         let mode = self.mode;
-        self.relations
+        let slot = self
+            .relations
             .entry(name.clone())
-            .or_insert_with(|| Relation::empty_in(mode, run.arity()))
-            .absorb_run(run)
+            .or_insert_with(|| Arc::new(Relation::empty_in(mode, run.arity())));
+        Arc::make_mut(slot).absorb_run(run)
     }
 
     /// Remove a fact; `true` if present.
     pub fn remove_fact(&mut self, fact: &Fact) -> bool {
-        if let Some(r) = self.relations.get_mut(fact.rel()) {
-            let removed = r.remove(fact.tuple());
-            if r.is_empty() {
-                self.relations.remove(fact.rel());
-            }
-            removed
-        } else {
-            false
+        let Some(slot) = self.relations.get_mut(fact.rel()) else {
+            return false;
+        };
+        let r = Arc::make_mut(slot);
+        let removed = r.remove(fact.tuple());
+        if r.is_empty() {
+            self.relations.remove(fact.rel());
         }
+        removed
     }
 
     /// Does the instance contain this fact?
@@ -215,12 +229,12 @@ impl Instance {
 
     /// Total number of facts.
     pub fn fact_count(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 
     /// Is the instance empty (no facts)?
     pub fn is_empty(&self) -> bool {
-        self.relations.values().all(Relation::is_empty)
+        self.relations.values().all(|r| r.is_empty())
     }
 
     /// The active domain: all data elements occurring in the instance.
@@ -232,13 +246,28 @@ impl Instance {
     /// `I' = I ∪ I_rcv` where state and message schemas are disjoint, and
     /// horizontal partitions overlap freely, so shared relations union
     /// their tuples.
+    ///
+    /// Works relation by relation and re-inserts no fact: a relation
+    /// populated on one side only is shared with the result (copied only
+    /// when `other` holds it in another storage mode), and a name
+    /// populated on both sides becomes the [`Relation::union`] of the
+    /// two. For disjoint schemas — a transducer's state and its received
+    /// messages — the cost is O(#relations), whatever the facts.
     pub fn union(&self, other: &Instance) -> Result<Instance, RelError> {
         let schema = self.schema.union_compatible(&other.schema)?;
-        let mut out = Instance::empty_in(self.mode, schema);
-        for f in self.facts().chain(other.facts()) {
-            out.insert_fact(f)?;
+        let mut relations = self.relations.clone();
+        for (name, rel) in &other.relations {
+            let merged = match relations.get(name) {
+                None => share_in(Arc::clone(rel), self.mode),
+                Some(mine) => Arc::new(mine.union(rel)?.into_mode(self.mode)),
+            };
+            relations.insert(name.clone(), merged);
         }
-        Ok(out)
+        Ok(Instance {
+            schema,
+            relations,
+            mode: self.mode,
+        })
     }
 
     /// Is `self ⊆ other` as sets of facts (schemas may differ)?
@@ -264,14 +293,15 @@ impl Instance {
                 Some(_) => {}
             }
             if let Some(r) = self.relations.get(name) {
-                out.set_relation(name.clone(), r.clone())?;
+                out.relations.insert(name.clone(), Arc::clone(r));
             }
         }
         Ok(out)
     }
 
     /// Re-house the same facts under a wider schema (every relation of the
-    /// current schema must appear in `wider` with the same arity).
+    /// current schema must appear in `wider` with the same arity). The
+    /// relations are shared, not copied.
     pub fn widen(&self, wider: Schema) -> Result<Instance, RelError> {
         for (name, arity) in self.schema.iter() {
             match wider.arity(name) {
@@ -378,9 +408,22 @@ impl Instance {
         let mut out = Instance::empty_in(self.mode, self.schema.clone());
         for (name, rel) in &self.relations {
             let mapped = rel.map_values(&mut h);
-            out.relations.insert(name.clone(), mapped);
+            out.relations.insert(name.clone(), Arc::new(mapped));
         }
         out
+    }
+}
+
+/// `rel` housed in `mode`: the same `Arc` when the modes agree, else a
+/// re-housed copy. Instances stay storage-homogeneous: query outputs
+/// arrive as plain columnar runs whatever the instance mode. Under the
+/// adaptive engine re-housing is the bulk-rebuild point where a
+/// shrunken relation re-enters the small regime.
+fn share_in(rel: Arc<Relation>, mode: StorageMode) -> Arc<Relation> {
+    if rel.mode() == mode {
+        rel
+    } else {
+        Arc::new(Relation::clone(&rel).into_mode(mode))
     }
 }
 

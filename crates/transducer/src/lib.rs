@@ -29,7 +29,7 @@ mod transducer;
 
 pub use builder::TransducerBuilder;
 pub use classify::{Classification, SystemUsage};
-pub use schema::{system_schema, TransducerSchema, SYS_ALL, SYS_ID};
+pub use schema::{all_relation, system_schema, TransducerSchema, SYS_ALL, SYS_ID};
 pub use transducer::{StepResult, Transducer};
 
 /// Shared owning handle to a transducer, for callers that need to keep

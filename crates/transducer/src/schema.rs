@@ -5,9 +5,12 @@
 //! Following the paper's proviso (Section 3), the system schema is fixed
 //! to the two unary relations `Id` and `All`.
 
-use rtx_relational::{Instance, RelError, RelName, Schema, Value};
+use rtx_relational::{
+    Fact, Instance, RelError, RelName, Relation, Schema, StorageMode, Tuple, Value,
+};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Name of the system relation holding the node's own identifier.
 pub const SYS_ID: &str = "Id";
@@ -108,19 +111,30 @@ impl TransducerSchema {
         me: &Value,
         all_nodes: &BTreeSet<Value>,
     ) -> Result<Instance, RelError> {
+        let all = all_relation(local_input.mode(), all_nodes)?;
+        self.initial_state_sharing(local_input, me, &Arc::new(all))
+    }
+
+    /// [`TransducerSchema::initial_state`] with a prebuilt `All`
+    /// relation (see [`all_relation`]), which the state shares instead
+    /// of copying: a network builds `All` once and every node's state
+    /// holds the same relation.
+    pub fn initial_state_sharing(
+        &self,
+        local_input: &Instance,
+        me: &Value,
+        all: &Arc<Relation>,
+    ) -> Result<Instance, RelError> {
         let mut state = local_input.widen(self.state_schema())?;
-        state.insert_fact(rtx_relational::Fact::new(
-            RelName::new(SYS_ID),
-            rtx_relational::Tuple::new(vec![*me]),
-        ))?;
-        for v in all_nodes {
-            state.insert_fact(rtx_relational::Fact::new(
-                RelName::new(SYS_ALL),
-                rtx_relational::Tuple::new(vec![*v]),
-            ))?;
-        }
+        state.insert_fact(Fact::new(RelName::new(SYS_ID), Tuple::new(vec![*me])))?;
+        state.set_shared_relation(SYS_ALL, Arc::clone(all))?;
         Ok(state)
     }
+}
+
+/// The `All` system relation over `nodes`, built in `mode`.
+pub fn all_relation(mode: StorageMode, nodes: &BTreeSet<Value>) -> Result<Relation, RelError> {
+    Relation::from_tuples_in(mode, 1, nodes.iter().map(|v| Tuple::new(vec![*v])))
 }
 
 impl fmt::Display for TransducerSchema {

@@ -21,6 +21,11 @@ pub struct Transducer {
 }
 
 /// The result of one local transition `I, I_rcv --Jout--> J, J_snd`.
+///
+/// `new_state` shares every relation the step did not change with the
+/// old state — the input and system relations always, a memory
+/// relation whenever its update left it as it was — so producing it
+/// costs O(#relations), not O(facts).
 #[derive(Clone, Debug)]
 pub struct StepResult {
     /// The successor state `J` (input and system relations unchanged,
@@ -31,13 +36,17 @@ pub struct StepResult {
     /// The output tuples `J_out` (outputs are cumulative and can never be
     /// retracted).
     pub output: Relation,
+    /// Did some memory relation change (`J ≠ I`)? Only memory can
+    /// change, so this equals `new_state != state` without comparing
+    /// whole instances.
+    pub memory_changed: bool,
 }
 
 impl StepResult {
     /// Did the transition change nothing observable (memory unchanged, no
     /// sends, no output)? Used for heartbeat-fixpoint detection.
-    pub fn is_noop(&self, old_state: &Instance) -> bool {
-        self.sent.is_empty() && self.output.is_empty() && &self.new_state == old_state
+    pub fn is_noop(&self) -> bool {
+        self.sent.is_empty() && self.output.is_empty() && !self.memory_changed
     }
 }
 
@@ -114,10 +123,14 @@ impl Transducer {
     ///
     /// i.e. conflicting insert/deletes are ignored, and an assignment
     /// `R := Q` is expressed by `Q_ins = Q`, `Q_del = R`.
+    ///
+    /// `I'` shares the relations of `state` and `received` instead of
+    /// copying them, and the successor state rewrites only the memory
+    /// relations that changed (see [`StepResult`]).
     pub fn step(&self, state: &Instance, received: &Instance) -> Result<StepResult, EvalError> {
-        // I' = I ∪ I_rcv over the combined schema.
+        // I' = I ∪ I_rcv: state and message schemas are disjoint, so
+        // this is the combined schema, built by sharing relations.
         let combined = state.union(received)?;
-        let combined = combined.widen(self.schema.combined_schema())?;
 
         // Sends.
         let mut sent = Instance::empty(self.schema.message().clone());
@@ -134,6 +147,7 @@ impl Transducer {
 
         // Memory update.
         let mut new_state = state.clone();
+        let mut memory_changed = false;
         for (rel, _) in self.schema.memory().iter() {
             let ins_q = self
                 .ins
@@ -150,13 +164,17 @@ impl Transducer {
             let conflicted = ins.intersect(&del)?.intersect(&cur)?; // both: ignore (keep if present)
             let untouched = cur.difference(&ins.union(&del)?)?; // neither mentioned
             let next = keep_new.union(&conflicted)?.union(&untouched)?;
-            new_state.set_relation(rel.clone(), next)?;
+            if next != cur {
+                memory_changed = true;
+                new_state.set_relation(rel.clone(), next)?;
+            }
         }
 
         Ok(StepResult {
             new_state,
             sent,
             output,
+            memory_changed,
         })
     }
 
@@ -181,8 +199,7 @@ impl Transducer {
         let mut output = Relation::empty(self.schema.output_arity());
         for step_no in 0..max_steps {
             let res = self.heartbeat(&cur)?;
-            let quiet =
-                res.sent.is_empty() && res.new_state == cur && res.output.is_subset(&output);
+            let quiet = res.sent.is_empty() && !res.memory_changed && res.output.is_subset(&output);
             output = output.union(&res.output)?;
             if quiet {
                 return Ok((cur, output, step_no));
@@ -264,6 +281,32 @@ mod tests {
             facts.iter().map(|&v| fact!("M", v)).collect::<Vec<_>>(),
         )
         .unwrap()
+    }
+
+    /// A step copies no relation it does not change: input, `Id`,
+    /// `All`, and unchanged memory are the old state's relations.
+    #[test]
+    fn step_shares_unchanged_relations() {
+        let t = store_and_echo();
+        let st = mk_state(&t, &[1, 2]);
+        let shared = |new: &Instance, rel: &str| {
+            let name = RelName::new(rel);
+            std::ptr::eq(
+                new.relation_ref(&name).unwrap(),
+                st.relation_ref(&name).unwrap(),
+            )
+        };
+        let hb = t.heartbeat(&st).unwrap();
+        assert!(!hb.memory_changed);
+        for rel in ["S", "Id", "All"] {
+            assert!(shared(&hb.new_state, rel), "heartbeat copied {rel}");
+        }
+        let dl = t.step(&st, &msg(&[7])).unwrap();
+        assert!(dl.memory_changed);
+        for rel in ["S", "Id", "All"] {
+            assert!(shared(&dl.new_state, rel), "delivery copied {rel}");
+        }
+        assert!(st.relation_ref(&"T".into()).is_none(), "old state kept");
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! zero-cost off mode, Chrome-JSON round-tripping, and the
 //! registry ⇄ `ShardRunOutcome` reconciliation on the grid-256 flood.
 //!
-//! The trace level and the registry are process-global, so every test
-//! that changes the level or reads a registry delta serializes on
-//! [`obs_lock`].
+//! A capture's registry delta is scoped to its own run (see
+//! [`concurrent_captures_each_reconcile_exactly`]), but the trace level
+//! is process-global, so every test that changes the level serializes
+//! on [`obs_lock`].
 
 use rtx::calm::constructions::flood::{flood_transducer, FloodMode};
-use rtx::net::{run_sharded, HorizontalPartition, Network, RunBudget, ShardOptions};
+use rtx::net::{
+    run_sharded, HorizontalPartition, Network, RunBudget, ShardOptions, ShardRunOutcome,
+};
 use rtx::obs::trace::{self, TraceLevel};
 use rtx::obs::{Hist, RunTrace, Snapshot};
 use rtx::relational::{fact, Fact, Instance, Schema};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serialize tests that mutate the global trace level or capture
-/// registry deltas (both are process-global state).
+/// Serialize tests that change the process-global trace level.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(Mutex::default)
@@ -284,4 +286,74 @@ fn query_eval_publishes_strata() {
     assert!(lines.iter().any(|l| l.starts_with("B query:eval")));
     assert!(lines.iter().any(|l| l.starts_with("B query:stratum")));
     assert!(lines.iter().any(|l| l.starts_with("I query:stratum.tally")));
+}
+
+/// Two captures open at the same time on two threads, each around its
+/// own runs: each reports exactly its own runs' counters, not the
+/// other's, although both publish into the same global registry.
+#[test]
+fn concurrent_captures_each_reconcile_exactly() {
+    let _g = obs_lock();
+    let _ctr = trace::level_guard(TraceLevel::Counters);
+    let barrier = std::sync::Barrier::new(2);
+    let workloads = [
+        (Network::grid(6, 6).unwrap(), 2usize, 3usize),
+        (Network::ring(10).unwrap(), 1, 5),
+    ];
+    std::thread::scope(|s| {
+        for (net, threads, repeats) in &workloads {
+            let barrier = &barrier;
+            s.spawn(move || {
+                let input = set_instance(4);
+                let t = flood_transducer(input.schema(), FloodMode::Dedup, None).unwrap();
+                let p = HorizontalPartition::round_robin(net, &input);
+                let opts = if *threads <= 1 {
+                    ShardOptions::serial()
+                } else {
+                    ShardOptions::sharded(*threads)
+                };
+                let budget = RunBudget::steps(500_000);
+                barrier.wait();
+                let (outs, trace) = trace::capture_run(|| {
+                    (0..*repeats)
+                        .map(|_| run_sharded(net, &t, &p, &opts, &budget).unwrap())
+                        .collect::<Vec<_>>()
+                });
+                let sum = |f: fn(&ShardRunOutcome) -> usize| -> u64 {
+                    outs.iter().map(f).sum::<usize>() as u64
+                };
+                let c = &trace.counters;
+                assert_eq!(c.counter("net.runs"), *repeats as u64);
+                assert_eq!(c.counter("net.rounds"), sum(|o| o.rounds));
+                assert_eq!(c.counter("net.steps"), sum(|o| o.outcome.steps));
+                assert_eq!(c.counter("net.heartbeats"), sum(|o| o.outcome.heartbeats));
+                assert_eq!(c.counter("net.deliveries"), sum(|o| o.outcome.deliveries));
+                assert_eq!(
+                    c.counter("net.messages_enqueued"),
+                    sum(|o| o.outcome.messages_enqueued)
+                );
+                assert_eq!(c.hist("net.max_active").unwrap().count, *repeats as u64);
+            });
+        }
+    });
+}
+
+/// One `MaintainedFixpoint::apply` publishes one applied delta.
+#[test]
+fn fixpoint_apply_publishes_deltas_applied() {
+    use rtx::query::incremental::MaintainedFixpoint;
+    use rtx::relational::InstanceDelta;
+    let _g = obs_lock();
+    let _ctr = trace::level_guard(TraceLevel::Counters);
+    let p =
+        rtx::query::parser::parse_program("T(X,Y) :- E(X,Y). T(X,Z) :- T(X,Y), E(Y,Z).").unwrap();
+    let mut base = Instance::empty(Schema::new().with("E", 2).with("T", 2));
+    base.insert_fact(fact!("E", 1, 2)).unwrap();
+    let mut fix = MaintainedFixpoint::new(&p).unwrap();
+    fix.initialize(&base).unwrap();
+    let delta = InstanceDelta::from_parts(vec![fact!("E", 2, 3)], Vec::new());
+    let (res, trace) = trace::capture_run(|| fix.apply(&delta).map(|_| ()));
+    res.unwrap();
+    assert_eq!(trace.counters.counter("fixpoint.deltas_applied"), 1);
+    assert_eq!(fix.stats().deltas_applied, 1);
 }
