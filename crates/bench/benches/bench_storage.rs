@@ -1,13 +1,12 @@
-//! Storage-engine microbenchmarks: the adaptive and columnar engines
-//! against the `RTX_STORAGE=btree` oracle on the operations the
-//! relational kernel actually spends time in — bulk construction,
-//! tail inserts with adoption, delta application (run merge), and
-//! membership probes — plus a `storage-adaptive/threshold-sweep`
-//! group that measures insert/remove/probe/scan at relation sizes
-//! straddling the promotion threshold, the empirical basis for the
-//! default `RTX_STORAGE_PROMOTE=256`. All engines are pinned
-//! explicitly with `empty_in`/`from_tuples_in`, so one run records
-//! the ablation whatever the ambient `RTX_STORAGE` is.
+//! Storage-engine microbenchmarks: the adaptive engine against the
+//! `RTX_STORAGE=btree` oracle on the operations the relational kernel
+//! actually spends time in — bulk construction, tail inserts with
+//! adoption, delta application (run merge), and membership probes —
+//! plus a `storage-adaptive/threshold-sweep` group that measures
+//! insert/remove/probe/scan at relation sizes straddling the promotion
+//! threshold, the empirical basis for its value of 256. Both engines
+//! are pinned explicitly with `empty_in`/`from_tuples_in`, so one run
+//! records the comparison whatever the ambient `RTX_STORAGE` is.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtx_relational::{Relation, StorageMode, Tuple, Value};
@@ -23,10 +22,9 @@ fn scattered(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
-fn modes() -> [(&'static str, StorageMode); 3] {
+fn modes() -> [(&'static str, StorageMode); 2] {
     [
         ("adaptive", StorageMode::Adaptive),
-        ("columnar", StorageMode::Columnar),
         ("btree", StorageMode::Btree),
     ]
 }
@@ -50,7 +48,7 @@ fn bench_storage(c: &mut Criterion) {
             );
         }
 
-        // Tail inserts over a sorted base: the columnar engine absorbs
+        // Tail inserts over a sorted base: a promoted relation absorbs
         // them into its mutable tail, then re-adopts on read.
         let fresh: Vec<Tuple> = (0..n / 8)
             .map(|i| vec![Value::Int(-(i as i64) - 1), Value::Int(i as i64)].into())
@@ -75,7 +73,7 @@ fn bench_storage(c: &mut Criterion) {
         }
 
         // Delta application: adds and removes in one batch — the
-        // columnar run-merge path against B-tree set edits.
+        // adaptive run-merge path against B-tree set edits.
         for (label, mode) in modes() {
             let base = Relation::from_tuples_in(mode, 2, tuples.clone()).unwrap();
             let mut target = base.clone();
@@ -126,7 +124,7 @@ fn bench_storage(c: &mut Criterion) {
 /// promotion threshold (16/64 stay in the small regime under the
 /// default threshold, 256 promotes exactly at the boundary, 1024 runs
 /// promoted). The adaptive engine should track btree below the
-/// threshold and columnar above it.
+/// threshold and beat it above.
 fn bench_threshold_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage-adaptive");
     group.sample_size(10);
@@ -190,7 +188,7 @@ fn bench_threshold_sweep(c: &mut Criterion) {
             );
 
             // scan: ordered iteration after a point mutation — the
-            // order-demand cost (sort for small, fold for columnar).
+            // order-demand cost (sort for small, fold for promoted).
             group.bench_with_input(
                 BenchmarkId::new(format!("threshold-sweep-scan-{label}"), n),
                 &n,

@@ -11,36 +11,6 @@ use rtx_calm::examples;
 use rtx_net::{run, FifoRoundRobin, HorizontalPartition, LifoRoundRobin, Network, RunBudget};
 use rtx_relational::{fact, Instance, Schema, Value};
 
-/// Under `RTX_STORAGE_STATS=1`, print per-relation storage counters
-/// (promotions, folds, small-regime probes, tail high-water mark)
-/// aggregated across every node state of a run's final configuration —
-/// the adaptive engine's observability knob, so a representation
-/// regression shows up in a run instead of a bisect.
-fn maybe_print_storage_stats(label: &str, net: &Network, cfg: &rtx_net::Configuration) {
-    if !matches!(std::env::var("RTX_STORAGE_STATS").as_deref(), Ok("1")) {
-        return;
-    }
-    let mut agg: std::collections::BTreeMap<rtx_relational::RelName, rtx_relational::StorageStats> =
-        std::collections::BTreeMap::new();
-    for node in net.nodes() {
-        if let Some(state) = cfg.state(node) {
-            for (name, s) in state.storage_stats() {
-                agg.entry(name).or_default().absorb(&s);
-            }
-        }
-    }
-    println!("  storage stats [{label}] ({} nodes, summed):", net.len());
-    if agg.is_empty() {
-        println!("    (no populated relations)");
-    }
-    for (name, s) in agg {
-        println!(
-            "    {name}: promotions={} folds={} small_probes={} tail_hwm={}",
-            s.promotions, s.folds, s.small_probes, s.tail_hwm
-        );
-    }
-}
-
 /// Run the four worked-example experiments, printing their tables.
 pub fn run_examples() {
     println!("\n[EX-2] Example 2: first-received-element is INCONSISTENT");
@@ -71,7 +41,6 @@ pub fn run_examples() {
         "paper: \"different runs may deliver the elements in different orders\" → inconsistent: {}",
         fifo.output != lifo.output
     );
-    maybe_print_storage_stats("EX-2 fifo", &net, &fifo.final_config);
 
     println!("\n[EX-3a] Example 3: equality selection σ_{{$1=$2}}(S), messageless");
     let t = examples::ex3_equality_selection().unwrap();
@@ -104,7 +73,6 @@ pub fn run_examples() {
         ("steps", 8),
         ("messages", 10),
     ]);
-    let mut last_tc = None;
     for net in [
         Network::line(2).unwrap(),
         Network::ring(4).unwrap(),
@@ -118,13 +86,9 @@ pub fn run_examples() {
             out.steps.to_string(),
             out.messages_enqueued.to_string(),
         ]);
-        last_tc = Some((net, out.final_config));
     }
     tab.done();
     println!("closure of a 3-edge chain has 6 tuples on every topology: consistent & NTI");
-    if let Some((net, cfg)) = &last_tc {
-        maybe_print_storage_stats("EX-3b star-5", net, cfg);
-    }
 
     println!("\n[EX-4] Example 4: echo — consistent per topology, NOT network-independent");
     let t = examples::ex4_echo().unwrap();

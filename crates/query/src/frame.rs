@@ -11,10 +11,10 @@
 //! fresh [`Run`], so a rule firing goes from stored runs to a derived
 //! run without ever leaving the interned-id domain.
 //!
-//! The executor only runs when every source relation is columnar;
-//! engines fall back to the generic `Bindings` path otherwise (which is
-//! exactly what `RTX_STORAGE=btree` forces, keeping the btree engine a
-//! full-pipeline oracle).
+//! The executor only runs when every source relation hands out a
+//! sorted run (the adaptive engine); engines fall back to the generic
+//! `Bindings` path otherwise (which is exactly what `RTX_STORAGE=btree`
+//! forces, keeping the btree engine a full-pipeline oracle).
 
 use crate::error::EvalError;
 use crate::term::{Atom, Term, Var};
@@ -353,7 +353,7 @@ mod tests {
     fn run_of(tuples: &[Tuple]) -> Arc<Run> {
         let arity = tuples.first().map(|t| t.arity()).unwrap_or(0);
         Relation::from_tuples_in(
-            rtx_relational::StorageMode::Columnar,
+            rtx_relational::StorageMode::Adaptive,
             arity,
             tuples.iter().cloned(),
         )

@@ -177,9 +177,16 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// How deeply FO formulas may nest (parentheses, `!`, quantifiers).
+/// The parser recurses per level; this bound makes deeper input a parse
+/// error instead of a stack overflow, even on a 2 MiB debug thread.
+const MAX_FORMULA_DEPTH: usize = 128;
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Current formula nesting depth (see [`MAX_FORMULA_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -187,6 +194,7 @@ impl Parser {
         Ok(Parser {
             toks: Lexer::new(src).tokens()?,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -366,7 +374,21 @@ impl Parser {
         })
     }
 
+    /// Every nesting construct recurses through here, so this enforces
+    /// [`MAX_FORMULA_DEPTH`].
     fn parse_unary(&mut self) -> Result<Formula, EvalError> {
+        if self.depth >= MAX_FORMULA_DEPTH {
+            return Err(self.error(format!(
+                "formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let f = self.parse_unary_inner();
+        self.depth -= 1;
+        f
+    }
+
+    fn parse_unary_inner(&mut self) -> Result<Formula, EvalError> {
         if self.eat(&Tok::Bang) {
             return Ok(Formula::not(self.parse_unary()?));
         }
@@ -643,5 +665,40 @@ mod tests {
     fn negative_integers() {
         let p = parse_program("q(X) :- v(X, -5).").unwrap();
         assert_eq!(p.rules().len(), 1);
+    }
+
+    /// `k` levels of parentheses (kind 0), `!` (1) or `exists X .` (2)
+    /// around `s(X)`.
+    fn nested(kind: usize, k: usize) -> String {
+        match kind {
+            0 => format!("{}s(X){}", "(".repeat(k), ")".repeat(k)),
+            1 => format!("{}s(X)", "!".repeat(k)),
+            _ => format!("{}s(X)", "exists X . ".repeat(k)),
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // On the default test thread: without the bound, each aborts.
+        for kind in 0..3 {
+            let src = nested(kind, 100_000);
+            assert!(matches!(parse_formula(&src), Err(EvalError::Parse { .. })));
+            let q = parse_fo_query(&format!("() <- {src}"));
+            assert!(matches!(q, Err(EvalError::Parse { .. })));
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses_and_evaluates() {
+        let k = MAX_FORMULA_DEPTH - 1; // `s(X)` itself is one level
+        for kind in 0..3 {
+            assert!(parse_formula(&nested(kind, k)).is_ok());
+            assert!(parse_formula(&nested(kind, k + 1)).is_err());
+        }
+        // An even number of negations is the identity.
+        let q = parse_fo_query(&format!("(X) <- {}", nested(1, k - 1))).unwrap();
+        assert_eq!(q.eval(&db()).unwrap().len(), 1);
+        let q = parse_fo_query(&format!("() <- {}", nested(2, k))).unwrap();
+        assert!(q.eval(&db()).unwrap().as_bool());
     }
 }

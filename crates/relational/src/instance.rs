@@ -170,8 +170,7 @@ impl Instance {
 
     /// Snapshot the storage counters of every populated relation, in
     /// name order — promotion/fold/probe observability for the
-    /// adaptive engine (see [`crate::runs::StorageStats`]). Printed by
-    /// `exp_examples` under `RTX_STORAGE_STATS=1`.
+    /// adaptive engine (see [`crate::runs::StorageStats`]).
     pub fn storage_stats(&self) -> Vec<(RelName, crate::runs::StorageStats)> {
         self.relations
             .iter()
@@ -180,7 +179,7 @@ impl Instance {
     }
 
     /// Union a sorted run of tuples into the relation `name` in place
-    /// (columnar relations merge runs, btree relations insert row by
+    /// (adaptive relations merge runs, btree relations insert row by
     /// row). Returns the number of facts actually added.
     pub fn absorb_run(
         &mut self,
@@ -415,10 +414,11 @@ impl Instance {
 }
 
 /// `rel` housed in `mode`: the same `Arc` when the modes agree, else a
-/// re-housed copy. Instances stay storage-homogeneous: query outputs
-/// arrive as plain columnar runs whatever the instance mode. Under the
-/// adaptive engine re-housing is the bulk-rebuild point where a
-/// shrunken relation re-enters the small regime.
+/// re-housed copy, so instances stay storage-homogeneous. Query outputs
+/// are built adaptive ([`Relation::from_run`]), already in the small
+/// regime when at or below the hysteresis floor, so they enter an
+/// adaptive instance shared; only a relation from the other engine is
+/// copied.
 fn share_in(rel: Arc<Relation>, mode: StorageMode) -> Arc<Relation> {
     if rel.mode() == mode {
         rel

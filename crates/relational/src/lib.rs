@@ -8,15 +8,13 @@
 //!
 //! Values are interned process-wide ([`intern`]: inline small ints,
 //! shared symbol/big-int tables, `u32` [`Vid`]s), and relations run on
-//! one of three storage engines (see [`StorageMode`]): the default
+//! one of two storage engines (see [`StorageMode`]): the default
 //! **adaptive** engine — small relations in a flat unsorted log,
-//! promoted to sorted runs on growth or order demand — the
-//! **columnar** engine (`RTX_STORAGE=columnar`) — flat sorted runs of
-//! value ids with galloping merge set algebra ([`runs`]) — and the
-//! original **B-tree** engine (`RTX_STORAGE=btree`), kept as the
-//! equivalence oracle and ablation baseline. All three iterate in the
-//! same deterministic sorted order, which the network simulator relies
-//! on for reproducible runs.
+//! promoted on growth or order demand to flat sorted runs of value ids
+//! with galloping merge set algebra ([`runs`]) — and the original
+//! **B-tree** engine (`RTX_STORAGE=btree`), kept as the equivalence
+//! oracle. Both iterate in the same deterministic sorted order, which
+//! the network simulator relies on for reproducible runs.
 //!
 //! Terminology follows Section 2 of *Ameloot, Neven, Van den Bussche,
 //! "Relational transducers for declarative networking"* (PODS 2011).

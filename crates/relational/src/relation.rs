@@ -1,6 +1,6 @@
 //! Finite relations: ordered sets of tuples of a fixed arity.
 //!
-//! Three physical storage engines live behind the one `Relation` API:
+//! Two physical storage engines live behind the one `Relation` API:
 //!
 //! * **adaptive** (the default): relations stay in a flat *unsorted*
 //!   append log with tombstones ([`SmallTail`]) while they are small —
@@ -10,26 +10,25 @@
 //!   when they outgrow [`adaptive_promote_len`], when a consumer
 //!   demands order while they sit above the hysteresis floor
 //!   ([`adaptive_reentry_len`], a quarter of the promotion threshold),
-//!   or when a bulk run absorption carries them past the floor.
-//!   Promotion is one-way per growth episode; bulk rebuilds (delta
-//!   application, [`crate::Instance::set_relation`]) re-enter the
-//!   small regime only at or below the floor — keeping the folded run
-//!   as the pre-built sorted cache — so churn-heavy workloads never
-//!   flap;
-//! * **columnar** (`RTX_STORAGE=columnar`): an immutable sorted
-//!   [`Run`] of flat `Vec<Vid>` columns plus small sorted add/delete
-//!   *tails*; reads that need the full sorted view fold the tails into
-//!   a fresh run once (cached until the next mutation), set algebra
-//!   and delta application are galloping merge walks over runs, and
-//!   indexes are permutation/range views into the run;
+//!   or when a bulk run absorption carries them past the floor. A
+//!   promoted relation is an immutable sorted [`Run`] of flat
+//!   `Vec<Vid>` columns plus small sorted add/delete *tails*; reads
+//!   that need the full sorted view fold the tails into a fresh run
+//!   once (cached until the next mutation), set algebra and delta
+//!   application are galloping merge walks over runs, and indexes are
+//!   permutation/range views into the run. Promotion is one-way per
+//!   growth episode; bulk rebuilds (delta application, query outputs,
+//!   [`crate::Instance::set_relation`]) re-enter the small regime only
+//!   at or below the floor — keeping the folded run as the pre-built
+//!   sorted cache — so churn-heavy workloads never flap;
 //! * **btree** (`RTX_STORAGE=btree`): the original `BTreeSet<Tuple>`
-//!   representation, kept as the equivalence oracle and measurable
-//!   ablation.
+//!   representation, kept as the equivalence oracle.
 //!
-//! All engines present identical *values*: same iteration order, same
+//! Both engines present identical *values*: same iteration order, same
 //! equality, same `Ord` — `tests/storage.rs` holds them to that under
-//! randomized schedules. Mixed-mode comparisons are supported (an
-//! adaptive relation can equal a btree one).
+//! randomized schedules, with the adaptive engine in both of its
+//! regimes. Mixed-mode comparisons are supported (an adaptive relation
+//! can equal a btree one).
 
 use crate::delta::RelationDelta;
 use crate::error::RelError;
@@ -44,16 +43,13 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// Which physical storage engine a [`Relation`] uses.
 ///
 /// The process-wide default is [`StorageMode::Adaptive`], overridable
-/// with `RTX_STORAGE=columnar` (always-sorted runs) or
-/// `RTX_STORAGE=btree` (the original oracle engine); individual
-/// relations and instances can be built in an explicit mode with the
-/// `*_in` constructors, e.g. for in-process equivalence testing.
+/// with `RTX_STORAGE=btree` (the oracle engine); individual relations
+/// and instances can be built in an explicit mode with the `*_in`
+/// constructors, e.g. for in-process equivalence testing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StorageMode {
     /// Ordered-set storage: `BTreeSet<Tuple>` + cached hash indexes.
     Btree,
-    /// Sorted columnar runs of interned ids + index views.
-    Columnar,
     /// Per-relation adaptive storage: small relations live in a flat
     /// unsorted log ([`SmallTail`]) and promote to sorted columnar
     /// runs when they outgrow [`adaptive_promote_len`] or a consumer
@@ -63,11 +59,10 @@ pub enum StorageMode {
 }
 
 impl StorageMode {
-    /// Parse a mode name (`"btree"` / `"columnar"` / `"adaptive"`).
+    /// Parse a mode name (`"btree"` / `"adaptive"`).
     pub fn parse(s: &str) -> Option<StorageMode> {
         match s.to_ascii_lowercase().as_str() {
             "btree" => Some(StorageMode::Btree),
-            "columnar" | "col" => Some(StorageMode::Columnar),
             "adaptive" | "auto" => Some(StorageMode::Adaptive),
             _ => None,
         }
@@ -78,36 +73,25 @@ impl StorageMode {
     pub fn global() -> StorageMode {
         static MODE: OnceLock<StorageMode> = OnceLock::new();
         *MODE.get_or_init(|| {
-            rtx_core::env::parse_choice(
-                "RTX_STORAGE",
-                "btree|columnar|adaptive",
-                StorageMode::parse,
-            )
-            .unwrap_or(StorageMode::Adaptive)
+            rtx_core::env::parse_choice("RTX_STORAGE", "btree|adaptive", StorageMode::parse)
+                .unwrap_or(StorageMode::Adaptive)
         })
     }
 
     /// Can relations of this mode hand out sorted runs
-    /// ([`Relation::columnar_run`] is always `Some`)? True for both
-    /// [`StorageMode::Columnar`] and [`StorageMode::Adaptive`] — the
-    /// run-based query executors branch on this.
+    /// ([`Relation::columnar_run`] is always `Some`)? True for
+    /// [`StorageMode::Adaptive`] — the run-based query executors
+    /// branch on this.
     pub fn uses_runs(self) -> bool {
-        !matches!(self, StorageMode::Btree)
+        self == StorageMode::Adaptive
     }
 }
 
 /// The live-tuple count at which an adaptive small relation promotes
-/// to sorted columnar runs. Defaults to 256, overridable with
-/// `RTX_STORAGE_PROMOTE` (clamped to ≥ 4; read once). The
-/// `storage-adaptive/threshold-sweep` bench group justifies the
-/// default empirically.
-pub fn adaptive_promote_len() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        rtx_core::env::parse_u64("RTX_STORAGE_PROMOTE")
-            .map(|v| (v as usize).max(4))
-            .unwrap_or(256)
-    })
+/// to sorted columnar runs. The `storage-adaptive/threshold-sweep`
+/// bench group justifies the value empirically.
+pub const fn adaptive_promote_len() -> usize {
+    256
 }
 
 /// The hysteresis floor of the adaptive engine: a quarter of
@@ -115,7 +99,7 @@ pub fn adaptive_promote_len() -> usize {
 /// this size never trigger promotion, and bulk rebuilds re-enter the
 /// small regime only at or below it — a promoted relation is never
 /// demoted above the floor, so promote/demote cycles cannot flap.
-pub fn adaptive_reentry_len() -> usize {
+pub const fn adaptive_reentry_len() -> usize {
     adaptive_promote_len() / 4
 }
 
@@ -124,10 +108,8 @@ pub fn adaptive_reentry_len() -> usize {
 ///
 /// The cache never influences a relation's value: it is skipped by
 /// `Clone`/`Eq`/`Ord` and dropped whenever the tuple set mutates. (The
-/// columnar engine needs no such cache — its index views hang off the
-/// run itself, one lock-free chain per run generation. The adaptive
-/// small regime rebuilds indexes from the log on demand; at its scale
-/// a build is cheaper than cache bookkeeping.)
+/// adaptive engine needs no such cache — its index views hang off the
+/// sorted run itself, one lock-free chain per run generation.)
 #[derive(Default)]
 struct IndexCache(RwLock<BTreeMap<Box<[usize]>, Arc<Index>>>);
 
@@ -138,41 +120,32 @@ impl IndexCache {
     }
 }
 
-/// Columnar store: an immutable sorted base run plus small mutable
-/// tails, folded together on demand.
+/// The promoted regime of the adaptive engine: an immutable sorted
+/// base run plus small mutable tails, folded together on demand.
 ///
 /// Invariants: `adds ∩ base = ∅` and `dels ⊆ base` (so `adds` and
 /// `dels` are disjoint and `len = base − dels + adds` exactly); the
 /// `merged` cache, when set, is exactly `(base ∖ dels) ∪ adds` — any
 /// mutation first *adopts* a set `merged` as the new base (advancing
-/// the run generation) and always leaves `merged` unset.
-///
-/// `adaptive` marks a store the adaptive engine promoted (or built
-/// above the small threshold): it reports [`StorageMode::Adaptive`]
-/// from [`Relation::mode`] and may demote back to the small regime on
-/// a bulk rebuild that lands at or below [`adaptive_reentry_len`].
+/// the run generation) and always leaves `merged` unset. A bulk
+/// rebuild that lands at or below [`adaptive_reentry_len`] demotes the
+/// relation back to the small regime.
 #[derive(Clone)]
 struct ColStore {
     base: Arc<Run>,
     adds: BTreeSet<Tuple>,
     dels: BTreeSet<Tuple>,
     merged: OnceLock<Arc<Run>>,
-    adaptive: bool,
     stats: StatCells,
 }
 
 impl ColStore {
-    fn from_run(run: Run) -> ColStore {
-        ColStore::new(Arc::new(run), false)
-    }
-
-    fn new(base: Arc<Run>, adaptive: bool) -> ColStore {
+    fn new(base: Arc<Run>) -> ColStore {
         ColStore {
             base,
             adds: BTreeSet::new(),
             dels: BTreeSet::new(),
             merged: OnceLock::new(),
-            adaptive,
             stats: StatCells::default(),
         }
     }
@@ -214,7 +187,7 @@ impl ColStore {
     }
 
     /// Replace the contents with a freshly built run (bulk rebuild),
-    /// keeping the adaptive flag and counters.
+    /// keeping the counters.
     fn replace_base(&mut self, run: Run) {
         self.base = Arc::new(run);
         self.adds.clear();
@@ -254,10 +227,8 @@ fn adaptive_store_from_sorted(arity: usize, tuples: Vec<Tuple>) -> Store {
     if tuples.len() <= adaptive_reentry_len() {
         Store::Small(SmallTail::from_sorted(arity, tuples))
     } else {
-        Store::Col(ColStore::new(
-            Arc::new(Run::from_sorted(arity, tuples.iter())),
-            true,
-        ))
+        let run = Run::from_sorted(arity, tuples.iter());
+        Store::Col(ColStore::new(Arc::new(run)))
     }
 }
 
@@ -275,7 +246,6 @@ impl Relation {
                 tuples: BTreeSet::new(),
                 cache: IndexCache::default(),
             },
-            StorageMode::Columnar => Store::Col(ColStore::from_run(Run::empty(arity))),
             StorageMode::Adaptive => Store::Small(SmallTail::new(arity)),
         };
         Relation { arity, store }
@@ -303,7 +273,7 @@ impl Relation {
                 }
                 Ok(r)
             }
-            StorageMode::Columnar | StorageMode::Adaptive => {
+            StorageMode::Adaptive => {
                 // Sort + dedup once, then build columns directly —
                 // no per-tuple tree rebalancing.
                 let mut v: Vec<Tuple> = Vec::new();
@@ -318,12 +288,10 @@ impl Relation {
                 }
                 v.sort_unstable();
                 v.dedup();
-                let store = if mode == StorageMode::Adaptive {
-                    adaptive_store_from_sorted(arity, v)
-                } else {
-                    Store::Col(ColStore::from_run(Run::from_sorted(arity, v.iter())))
-                };
-                Ok(Relation { arity, store })
+                Ok(Relation {
+                    arity,
+                    store: adaptive_store_from_sorted(arity, v),
+                })
             }
         }
     }
@@ -341,24 +309,28 @@ impl Relation {
         Relation::empty(0)
     }
 
-    /// Build a columnar relation directly from a sorted run — the
-    /// zero-copy landing for columnar join outputs. (Plain columnar,
-    /// not adaptive: outputs headed for an adaptive instance are
-    /// re-housed by [`crate::Instance::set_relation`] /
-    /// [`Relation::into_mode`].)
+    /// Build an adaptive relation directly from a sorted run — the
+    /// zero-copy landing for columnar join outputs. At or below the
+    /// hysteresis floor the relation starts in the small regime with
+    /// the run as its sorted cache (a downstream ordered read costs no
+    /// re-sort); above it, promoted. Either way it enters an adaptive
+    /// instance without re-housing.
     pub fn from_run(run: Run) -> Relation {
-        Relation {
-            arity: run.arity(),
-            store: Store::Col(ColStore::from_run(run)),
-        }
+        let arity = run.arity();
+        let store = if run.len() <= adaptive_reentry_len() {
+            Store::Small(SmallTail::from_run(Arc::new(run), StatCells::default()))
+        } else {
+            Store::Col(ColStore::new(Arc::new(run)))
+        };
+        Relation { arity, store }
     }
 
-    /// The current sorted run, for run-backed relations; `None` under
-    /// the btree engine. Columnar relations fold any pending tails
-    /// (cached until the next mutation); adaptive small relations sort
-    /// their log on demand — which **is** the order-demand signal that
-    /// makes the next mutation above the hysteresis floor promote.
-    /// Columnar executors branch on this.
+    /// The current sorted run, for adaptive relations; `None` under
+    /// the btree engine. Promoted relations fold any pending tails
+    /// (cached until the next mutation); small relations sort their
+    /// log on demand — which **is** the order-demand signal that makes
+    /// the next mutation above the hysteresis floor promote. Columnar
+    /// executors branch on this.
     pub fn columnar_run(&self) -> Option<Arc<Run>> {
         match &self.store {
             Store::Btree { .. } => None,
@@ -367,15 +339,15 @@ impl Relation {
         }
     }
 
-    /// In-place union with a run of the same arity (run-backed engines
-    /// merge runs; btree engines insert row by row). Adaptive small
-    /// relations point-insert only while the combined size stays at or
-    /// below the hysteresis floor, else promote first and take the
-    /// galloping merge: absorbing a run is a bulk operation, so the
-    /// cheap-probe argument that lets point inserts ride to the full
-    /// promotion threshold does not apply — repeated O(|tail|·|run|)
-    /// absorbs are exactly the fixpoint inner loop the columnar engine
-    /// wins. Returns the number of tuples actually added.
+    /// In-place union with a run of the same arity (promoted relations
+    /// merge runs; btree relations insert row by row). Small relations
+    /// point-insert only while the combined size stays at or below the
+    /// hysteresis floor, else promote first and take the galloping
+    /// merge: absorbing a run is a bulk operation, so the cheap-probe
+    /// argument that lets point inserts ride to the full promotion
+    /// threshold does not apply — repeated O(|tail|·|run|) absorbs are
+    /// exactly the fixpoint inner loop the run merge wins. Returns the
+    /// number of tuples actually added.
     pub fn absorb_run(&mut self, run: &Run) -> Result<usize, RelError> {
         if run.arity() != self.arity {
             return Err(RelError::TupleArity {
@@ -431,16 +403,13 @@ impl Relation {
     pub fn mode(&self) -> StorageMode {
         match &self.store {
             Store::Btree { .. } => StorageMode::Btree,
-            Store::Col(c) if c.adaptive => StorageMode::Adaptive,
-            Store::Col(_) => StorageMode::Columnar,
-            Store::Small(_) => StorageMode::Adaptive,
+            Store::Col(_) | Store::Small(_) => StorageMode::Adaptive,
         }
     }
 
     /// Is this relation currently in the adaptive engine's small
-    /// (unsorted log) regime? Always `false` for the btree and
-    /// columnar engines; observability for promotion-boundary tests
-    /// and diagnostics.
+    /// (unsorted log) regime? Always `false` for the btree engine;
+    /// observability for promotion-boundary tests and diagnostics.
     pub fn in_small_regime(&self) -> bool {
         matches!(&self.store, Store::Small(_))
     }
@@ -503,7 +472,7 @@ impl Relation {
             if rtx_obs::tracing() {
                 rtx_obs::event!("storage", "promote", "len" => s.len());
             }
-            let mut col = ColStore::new(base, true);
+            let mut col = ColStore::new(base);
             col.stats = stats;
             self.store = Store::Col(col);
         }
@@ -542,7 +511,7 @@ impl Relation {
     fn adaptive_post_rebuild(&mut self) {
         let demote = matches!(
             &self.store,
-            Store::Col(c) if c.adaptive && c.len() <= adaptive_reentry_len()
+            Store::Col(c) if c.len() <= adaptive_reentry_len()
         );
         if demote {
             if let Store::Col(c) = &self.store {
@@ -630,10 +599,10 @@ impl Relation {
     ///
     /// The returned [`Index`] is an immutable snapshot: it stays valid
     /// even if the relation mutates afterwards. Btree indexes are
-    /// cached until the next mutation; columnar indexes are views into
+    /// cached until the next mutation; promoted indexes are views into
     /// the current sorted run, cached on the run itself — so clones
     /// sharing a run share its views, and no lock sits on the read
-    /// path. Adaptive small relations memoize a sorted run of the log
+    /// path. Small relations memoize a sorted run of the log
     /// (without registering an order demand, so probes alone never
     /// promote) and serve views off it — repeated probes of the same
     /// small relation, the access pattern of magic-set guards, sort
@@ -771,10 +740,6 @@ impl Relation {
                 tuples: tuples.into_iter().collect(),
                 cache: IndexCache::default(),
             },
-            StorageMode::Columnar => Store::Col(ColStore::from_run(Run::from_sorted(
-                self.arity,
-                tuples.iter(),
-            ))),
             StorageMode::Adaptive => adaptive_store_from_sorted(self.arity, tuples),
         };
         Relation {
@@ -786,22 +751,15 @@ impl Relation {
     /// Build a same-mode relation from a run an operation produced.
     #[allow(clippy::wrong_self_convention)] // `self` only donates the mode
     fn from_result_run(&self, run: Run) -> Relation {
-        let store = match self.mode() {
-            StorageMode::Btree => Store::Btree {
-                tuples: run.rows().iter().cloned().collect(),
-                cache: IndexCache::default(),
+        match self.mode() {
+            StorageMode::Btree => Relation {
+                arity: self.arity,
+                store: Store::Btree {
+                    tuples: run.rows().iter().cloned().collect(),
+                    cache: IndexCache::default(),
+                },
             },
-            StorageMode::Columnar => Store::Col(ColStore::from_run(run)),
-            StorageMode::Adaptive if run.len() <= adaptive_reentry_len() => Store::Small(
-                // Keep the produced run as the pre-built sorted cache
-                // so a downstream ordered read costs no re-sort.
-                SmallTail::from_run(Arc::new(run), StatCells::default()),
-            ),
-            StorageMode::Adaptive => Store::Col(ColStore::new(Arc::new(run), true)),
-        };
-        Relation {
-            arity: self.arity,
-            store,
+            StorageMode::Adaptive => Relation::from_run(run),
         }
     }
 
@@ -809,55 +767,23 @@ impl Relation {
     /// already agree).
     ///
     /// [`crate::Instance::set_relation`] uses this to keep instances
-    /// storage-homogeneous: query outputs land as plain columnar runs
-    /// and are re-flagged — or, when at or below the hysteresis floor,
-    /// dropped into the small regime — on their way into an adaptive
-    /// instance. This is the "bulk rebuild re-enters the small regime"
-    /// half of the promotion hysteresis.
+    /// storage-homogeneous when a relation built under the other
+    /// engine is stored; a btree relation entering an adaptive
+    /// instance lands in the small regime at or below the hysteresis
+    /// floor, promoted above it.
     pub fn into_mode(self, mode: StorageMode) -> Relation {
         if self.mode() == mode {
             return self;
         }
         let arity = self.arity;
-        match mode {
-            StorageMode::Btree => {
-                let tuples: BTreeSet<Tuple> = self.iter().cloned().collect();
-                Relation {
-                    arity,
-                    store: Store::Btree {
-                        tuples,
-                        cache: IndexCache::default(),
-                    },
-                }
-            }
-            StorageMode::Columnar | StorageMode::Adaptive => {
-                let adaptive = mode == StorageMode::Adaptive;
-                let store = match self.store {
-                    Store::Col(mut c) => {
-                        c.adaptive = adaptive;
-                        Store::Col(c)
-                    }
-                    Store::Small(s) => {
-                        // Only reachable for a columnar target: adopt
-                        // the sorted view, carrying counters (a
-                        // conversion, not a growth promotion).
-                        let base = Arc::clone(s.sorted_run());
-                        let mut col = ColStore::new(base, adaptive);
-                        col.stats = s.stats_cells().clone();
-                        Store::Col(col)
-                    }
-                    Store::Btree { tuples, .. } => Store::Col(ColStore::new(
-                        Arc::new(Run::from_sorted(arity, tuples.iter())),
-                        adaptive,
-                    )),
-                };
-                let mut rel = Relation { arity, store };
-                if adaptive {
-                    rel.adaptive_post_rebuild();
-                }
-                rel
-            }
-        }
+        let store = match mode {
+            StorageMode::Btree => Store::Btree {
+                tuples: self.iter().cloned().collect(),
+                cache: IndexCache::default(),
+            },
+            StorageMode::Adaptive => adaptive_store_from_sorted(arity, self.into_iter().collect()),
+        };
+        Relation { arity, store }
     }
 
     /// Sorted-run views of both operands when both are run-backed —
@@ -991,7 +917,7 @@ impl Relation {
 pub enum Iter<'a> {
     /// BTree engine.
     Btree(std::collections::btree_set::Iter<'a, Tuple>),
-    /// Run-backed engines (materialized sorted rows).
+    /// Adaptive engine (materialized sorted rows).
     Slice(std::slice::Iter<'a, Tuple>),
 }
 
@@ -1013,11 +939,11 @@ impl<'a> Iterator for Iter<'a> {
 
 impl<'a> ExactSizeIterator for Iter<'a> {}
 
-// Caches (btree hash indexes, columnar merged runs and views, small
+// Caches (btree hash indexes, promoted merged runs and views, small
 // sorted views) and counters are evaluation artifacts: they must not
 // take part in the relation's value, so `Clone`/`Eq`/`Ord` are written
 // by hand over the tuple *sequence* only, and work across storage
-// modes. Columnar clones share the base run by `Arc` (and with it the
+// modes. Promoted clones share the base run by `Arc` (and with it the
 // run's view cache); btree clones start with a cold cache; small
 // clones copy the log and counters.
 impl Clone for Relation {
@@ -1099,7 +1025,7 @@ impl fmt::Display for Relation {
 pub enum IntoIter {
     /// BTree engine.
     Btree(std::collections::btree_set::IntoIter<Tuple>),
-    /// Run-backed engines.
+    /// Adaptive engine.
     Vec(std::vec::IntoIter<Tuple>),
 }
 
@@ -1148,31 +1074,72 @@ mod tests {
         Relation::from_tuples(arity, ts).unwrap()
     }
 
-    /// Every test in this module runs against all three engines via
-    /// this helper where storage behavior matters.
-    fn all_modes(f: impl Fn(StorageMode)) {
-        f(StorageMode::Btree);
-        f(StorageMode::Columnar);
-        f(StorageMode::Adaptive);
+    /// The three representations a relation can be in: the btree
+    /// oracle and both regimes of the adaptive engine.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Leg {
+        Btree,
+        Small,
+        Promoted,
+    }
+
+    impl Leg {
+        fn mode(self) -> StorageMode {
+            match self {
+                Leg::Btree => StorageMode::Btree,
+                Leg::Small | Leg::Promoted => StorageMode::Adaptive,
+            }
+        }
+
+        /// `ts` in this representation. The promoted leg is bulk-built
+        /// from a filler above the hysteresis floor, which is then
+        /// removed again (point removals never demote) before `ts` is
+        /// inserted — so its tails hold tombstones from the start.
+        fn relation(self, arity: usize, ts: impl IntoIterator<Item = Tuple>) -> Relation {
+            if self != Leg::Promoted {
+                return Relation::from_tuples_in(self.mode(), arity, ts).unwrap();
+            }
+            let filler: Vec<Tuple> = (0..=adaptive_reentry_len() as i64)
+                .map(|i| Tuple::from(vec![Value::int(-1_000_000 - i); arity]))
+                .collect();
+            let mut r = Relation::from_tuples_in(self.mode(), arity, filler.clone()).unwrap();
+            for t in &filler {
+                assert!(r.remove(t));
+            }
+            for t in ts {
+                r.insert(t).unwrap();
+            }
+            assert!(!r.in_small_regime());
+            r
+        }
+    }
+
+    /// Every test in this module runs against all three legs via this
+    /// helper where storage behavior matters.
+    fn all_modes(f: impl Fn(Leg)) {
+        for leg in [Leg::Btree, Leg::Small, Leg::Promoted] {
+            f(leg);
+        }
     }
 
     #[test]
     fn empty_and_insert() {
         all_modes(|m| {
-            let mut r = Relation::empty_in(m, 2);
+            let mut r = m.relation(2, []);
             assert!(r.is_empty());
             assert!(r.insert(tuple![1, 2]).unwrap());
             assert!(!r.insert(tuple![1, 2]).unwrap()); // duplicate
             assert_eq!(r.len(), 1);
             assert!(r.contains(&tuple![1, 2]));
-            assert_eq!(r.mode(), m);
+            assert_eq!(r.mode(), m.mode());
+            assert_eq!(r.in_small_regime(), m == Leg::Small);
         });
     }
 
     #[test]
     fn arity_enforced_on_insert() {
         all_modes(|m| {
-            let mut r = Relation::empty_in(m, 2);
+            let mut r = m.relation(2, []);
             assert!(matches!(
                 r.insert(tuple![1]),
                 Err(RelError::TupleArity {
@@ -1193,8 +1160,8 @@ mod tests {
     #[test]
     fn set_algebra() {
         all_modes(|m| {
-            let a = Relation::from_tuples_in(m, 1, vec![tuple![1], tuple![2]]).unwrap();
-            let b = Relation::from_tuples_in(m, 1, vec![tuple![2], tuple![3]]).unwrap();
+            let a = m.relation(1, vec![tuple![1], tuple![2]]);
+            let b = m.relation(1, vec![tuple![2], tuple![3]]);
             assert_eq!(a.union(&b).unwrap().len(), 3);
             assert_eq!(a.intersect(&b).unwrap(), rel(1, vec![tuple![2]]));
             assert_eq!(a.difference(&b).unwrap(), rel(1, vec![tuple![1]]));
@@ -1216,38 +1183,28 @@ mod tests {
     #[test]
     fn cross_mode_values_agree() {
         let ts = vec![tuple![3, "c"], tuple![1, "a"], tuple![2, "b"]];
-        let col = Relation::from_tuples_in(StorageMode::Columnar, 2, ts.clone()).unwrap();
-        let bt = Relation::from_tuples_in(StorageMode::Btree, 2, ts.clone()).unwrap();
-        let ad = Relation::from_tuples_in(StorageMode::Adaptive, 2, ts).unwrap();
-        assert_eq!(col, bt);
-        assert_eq!(bt, col);
-        assert_eq!(ad, bt);
-        assert_eq!(col, ad);
-        assert_eq!(col.cmp(&bt), std::cmp::Ordering::Equal);
-        assert_eq!(ad.cmp(&bt), std::cmp::Ordering::Equal);
-        assert!(col.is_subset(&bt) && bt.is_subset(&col));
-        assert!(ad.is_subset(&col) && col.is_subset(&ad));
-        assert_eq!(
-            col.iter().collect::<Vec<_>>(),
-            bt.iter().collect::<Vec<_>>()
-        );
-        assert_eq!(ad.iter().collect::<Vec<_>>(), bt.iter().collect::<Vec<_>>());
-        // mixed-mode set algebra takes the fallback paths
-        assert_eq!(col.union(&bt).unwrap(), bt);
-        assert_eq!(col.intersect(&bt).unwrap(), bt);
-        assert!(col.difference(&bt).unwrap().is_empty());
-        assert_eq!(ad.union(&bt).unwrap(), bt);
-        assert_eq!(ad.intersect(&col).unwrap(), bt);
-        assert!(ad.difference(&col).unwrap().is_empty());
-        assert_eq!(col.union(&bt).unwrap().mode(), StorageMode::Columnar);
-        assert_eq!(bt.union(&col).unwrap().mode(), StorageMode::Btree);
-        assert_eq!(ad.union(&bt).unwrap().mode(), StorageMode::Adaptive);
+        let rels = [Leg::Btree, Leg::Small, Leg::Promoted].map(|m| m.relation(2, ts.clone()));
+        for a in &rels {
+            for b in &rels {
+                assert_eq!(a, b);
+                assert_eq!(a.cmp(b), std::cmp::Ordering::Equal);
+                assert!(a.is_subset(b));
+                assert!(a.iter().eq(b.iter()));
+                // Mixed-mode set algebra takes the fallback paths; the
+                // result keeps the left operand's mode.
+                let u = a.union(b).unwrap();
+                assert_eq!(u.mode(), a.mode());
+                assert_eq!(&u, b);
+                assert_eq!(&a.intersect(b).unwrap(), b);
+                assert!(a.difference(b).unwrap().is_empty());
+            }
+        }
     }
 
     #[test]
     fn adom_collects_all_values() {
         all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, "a"], tuple![2, "a"]]).unwrap();
+            let r = m.relation(2, vec![tuple![1, "a"], tuple![2, "a"]]);
             let d = r.adom();
             assert_eq!(d.len(), 3);
             assert!(d.contains(&Value::int(1)));
@@ -1258,20 +1215,20 @@ mod tests {
     #[test]
     fn map_values_is_isomorphic_image() {
         all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+            let r = m.relation(2, vec![tuple![1, 2]]);
             let s = r.map_values(|v| match v {
                 Value::Int(i) => Value::int(i * 10),
                 o => *o,
             });
             assert_eq!(s, rel(2, vec![tuple![10, 20]]));
-            assert_eq!(s.mode(), m);
+            assert_eq!(s.mode(), m.mode());
         });
     }
 
     #[test]
     fn deterministic_iteration_order() {
         all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 1, vec![tuple![3], tuple![1], tuple![2]]).unwrap();
+            let r = m.relation(1, vec![tuple![3], tuple![1], tuple![2]]);
             let order: Vec<_> = r.iter().cloned().collect();
             assert_eq!(order, vec![tuple![1], tuple![2], tuple![3]]);
         });
@@ -1280,7 +1237,7 @@ mod tests {
     #[test]
     fn remove_and_idempotence() {
         all_modes(|m| {
-            let mut r = Relation::from_tuples_in(m, 1, vec![tuple![1]]).unwrap();
+            let mut r = m.relation(1, vec![tuple![1]]);
             assert!(r.remove(&tuple![1]));
             assert!(!r.remove(&tuple![1]));
             assert!(r.is_empty());
@@ -1290,9 +1247,9 @@ mod tests {
     #[test]
     fn tail_interleavings_match_btree() {
         // insert → remove → re-insert cycles through the add/del tails
-        // (columnar) and the tombstone log (adaptive).
+        // (promoted) and the tombstone log (small).
         all_modes(|m| {
-            let mut r = Relation::from_tuples_in(m, 1, (0..10).map(|i| tuple![i])).unwrap();
+            let mut r = m.relation(1, (0..10).map(|i| tuple![i]));
             assert!(r.remove(&tuple![3]));
             assert!(!r.contains(&tuple![3]));
             assert!(r.insert(tuple![3]).unwrap()); // undelete
@@ -1308,8 +1265,7 @@ mod tests {
     #[test]
     fn index_probe_matches_scan() {
         all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2], tuple![1, 3], tuple![2, 3]])
-                .unwrap();
+            let r = m.relation(2, vec![tuple![1, 2], tuple![1, 3], tuple![2, 3]]);
             let idx = r.index(&[0]).unwrap();
             assert_eq!(idx.probe(&[Value::int(1)]).len(), 2);
             let scan: Vec<_> = r
@@ -1330,14 +1286,10 @@ mod tests {
 
     #[test]
     fn index_is_cached_until_mutation() {
-        // All three engines memoize: btree on the relation, columnar
-        // and the adaptive small regime on the (cached) sorted run.
-        for m in [
-            StorageMode::Btree,
-            StorageMode::Columnar,
-            StorageMode::Adaptive,
-        ] {
-            let mut r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+        // All three legs memoize: btree on the relation, both adaptive
+        // regimes on the (cached) sorted run.
+        all_modes(|m| {
+            let mut r = m.relation(2, vec![tuple![1, 2]]);
             let a = r.index(&[0]).unwrap();
             let b = r.index(&[0]).unwrap();
             assert!(Arc::ptr_eq(&a, &b));
@@ -1347,7 +1299,7 @@ mod tests {
             // the old snapshot is unchanged, the fresh index sees the insert
             assert!(a.probe(&[Value::int(5)]).is_empty());
             assert_eq!(c.probe(&[Value::int(5)]).len(), 1);
-        }
+        });
     }
 
     #[test]
@@ -1370,7 +1322,11 @@ mod tests {
 
     #[test]
     fn clones_share_columnar_index_views() {
-        let r = Relation::from_tuples_in(StorageMode::Columnar, 2, vec![tuple![1, 2]]).unwrap();
+        // Bulk-built above the hysteresis floor: promoted from the start.
+        let n = adaptive_reentry_len() as i64 + 1;
+        let r = Relation::from_tuples_in(StorageMode::Adaptive, 2, (0..n).map(|i| tuple![i, i]))
+            .unwrap();
+        assert!(!r.in_small_regime());
         let s = r.clone();
         let a = r.index(&[0]).unwrap();
         let b = s.index(&[0]).unwrap();
@@ -1380,7 +1336,7 @@ mod tests {
     #[test]
     fn index_rejects_out_of_range_columns() {
         all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+            let r = m.relation(2, vec![tuple![1, 2]]);
             assert!(matches!(
                 r.index(&[2]),
                 Err(RelError::ColumnOutOfRange {
@@ -1394,8 +1350,8 @@ mod tests {
     #[test]
     fn cache_never_affects_equality() {
         all_modes(|m| {
-            let a = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
-            let b = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+            let a = m.relation(2, vec![tuple![1, 2]]);
+            let b = m.relation(2, vec![tuple![1, 2]]);
             let _ = a.index(&[0]).unwrap();
             let _ = a.index(&[1]).unwrap();
             assert_eq!(a, b);
@@ -1415,8 +1371,8 @@ mod tests {
     #[test]
     fn diff_apply_delta_roundtrip() {
         all_modes(|m| {
-            let from = Relation::from_tuples_in(m, 1, vec![tuple![1], tuple![2]]).unwrap();
-            let to = Relation::from_tuples_in(m, 1, vec![tuple![2], tuple![3]]).unwrap();
+            let from = m.relation(1, vec![tuple![1], tuple![2]]);
+            let to = m.relation(1, vec![tuple![2], tuple![3]]);
             let d = to.diff(&from).unwrap();
             assert_eq!(d.added(), &[tuple![3]]);
             assert_eq!(d.removed(), &[tuple![1]]);
@@ -1445,13 +1401,11 @@ mod tests {
     #[test]
     fn storage_mode_parsing() {
         assert_eq!(StorageMode::parse("btree"), Some(StorageMode::Btree));
-        assert_eq!(StorageMode::parse("COLUMNAR"), Some(StorageMode::Columnar));
-        assert_eq!(StorageMode::parse("col"), Some(StorageMode::Columnar));
         assert_eq!(StorageMode::parse("adaptive"), Some(StorageMode::Adaptive));
         assert_eq!(StorageMode::parse("Auto"), Some(StorageMode::Adaptive));
+        assert_eq!(StorageMode::parse("columnar"), None);
         assert_eq!(StorageMode::parse("nope"), None);
         assert!(StorageMode::Adaptive.uses_runs());
-        assert!(StorageMode::Columnar.uses_runs());
         assert!(!StorageMode::Btree.uses_runs());
     }
 
@@ -1552,20 +1506,26 @@ mod tests {
     #[test]
     fn into_mode_rehouses_values() {
         let ts = vec![tuple![2, 1], tuple![1, 2]];
-        for from in [
-            StorageMode::Btree,
-            StorageMode::Columnar,
-            StorageMode::Adaptive,
-        ] {
-            let r = Relation::from_tuples_in(from, 2, ts.clone()).unwrap();
-            for to in [
-                StorageMode::Btree,
-                StorageMode::Columnar,
-                StorageMode::Adaptive,
-            ] {
+        all_modes(|from| {
+            let r = from.relation(2, ts.clone());
+            for to in [StorageMode::Btree, StorageMode::Adaptive] {
                 let s = r.clone().into_mode(to);
                 assert_eq!(s.mode(), to);
                 assert_eq!(s, r);
+            }
+        });
+        // Re-housing into adaptive and landing a query output are bulk
+        // rebuilds: small regime at the floor, promoted above it.
+        let floor = adaptive_reentry_len();
+        for (n, small) in [(0, true), (floor, true), (floor + 1, false)] {
+            let bt = Leg::Btree.relation(1, (0..n as i64).map(|i| tuple![i]));
+            let output = Relation::from_run(Run::from_sorted(1, bt.iter()));
+            for r in [bt.clone().into_mode(StorageMode::Adaptive), output] {
+                assert_eq!(
+                    (r.mode(), r.in_small_regime()),
+                    (StorageMode::Adaptive, small)
+                );
+                assert_eq!(r, bt);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Columnar sorted runs — the storage layer beneath columnar
+//! Columnar sorted runs — the storage layer beneath promoted adaptive
 //! [`Relation`](crate::Relation)s.
 //!
 //! A [`Run`] is an immutable, sorted, duplicate-free batch of tuples
@@ -844,14 +844,14 @@ impl std::fmt::Debug for Run {
 pub struct StorageStats {
     /// Small-regime → sorted-run promotions in this relation's lineage.
     pub promotions: u64,
-    /// Sorted-run folds: columnar tail merges, plus order-demanded
+    /// Sorted-run folds: promoted-regime tail merges, plus order-demanded
     /// sorts of the small-regime log.
     pub folds: u64,
     /// Linear probe operations over the small-regime log (one per
     /// insert / remove / membership call, not per comparison).
     pub small_probes: u64,
     /// High-water mark of the mutable tail: the small-regime log
-    /// length, or the columnar add+delete tail length.
+    /// length, or the promoted add+delete tail length.
     pub tail_hwm: u64,
 }
 
@@ -863,11 +863,6 @@ impl StorageStats {
         self.folds += other.folds;
         self.small_probes += other.small_probes;
         self.tail_hwm = self.tail_hwm.max(other.tail_hwm);
-    }
-
-    /// Is every counter zero?
-    pub fn is_zero(&self) -> bool {
-        *self == StorageStats::default()
     }
 
     /// Publish this snapshot into the global [`rtx_obs`] registry:
@@ -1008,11 +1003,20 @@ impl SmallTail {
 
     /// Build from sorted, duplicate-free tuples (e.g. run rows).
     pub fn from_sorted(arity: usize, tuples: Vec<Tuple>) -> SmallTail {
-        SmallTail::with_stats(arity, tuples, StatCells::default())
+        let stats = StatCells::default();
+        stats.note_tail_len(tuples.len());
+        SmallTail {
+            arity,
+            live: tuples.len(),
+            log: tuples.into_iter().map(|t| (t, true)).collect(),
+            sorted: OnceLock::new(),
+            ordered: AtomicBool::new(false),
+            stats,
+        }
     }
 
-    /// Build from an existing sorted run, carrying counters across a
-    /// demotion. The run is kept as the pre-built sorted cache, so the
+    /// Build from an existing sorted run — a query output, or a
+    /// demotion carrying its counters across. The run is kept as the pre-built sorted cache, so the
     /// representation change costs no re-sort and the run's cached row
     /// materialization and index views survive — a per-tick bulk
     /// rebuild that demotes would otherwise pay a sort plus a view
@@ -1029,22 +1033,8 @@ impl SmallTail {
             log,
             live,
             sorted,
-            // The pre-built cache is a gift, not a demand: the relation
-            // just demoted, so no promotion pressure carries over.
-            ordered: AtomicBool::new(false),
-            stats,
-        }
-    }
-
-    /// Build from sorted tuples, carrying counters across a demotion.
-    pub(crate) fn with_stats(arity: usize, tuples: Vec<Tuple>, stats: StatCells) -> SmallTail {
-        let live = tuples.len();
-        stats.note_tail_len(live);
-        SmallTail {
-            arity,
-            log: tuples.into_iter().map(|t| (t, true)).collect(),
-            live,
-            sorted: OnceLock::new(),
+            // The pre-built cache is a gift, not a demand: no promotion
+            // pressure carries over.
             ordered: AtomicBool::new(false),
             stats,
         }

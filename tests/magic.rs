@@ -1,23 +1,20 @@
 //! Property tests for goal-directed evaluation: the magic-sets
 //! rewrite must be **answer-equivalent** to full materialization on
 //! random stratified programs (recursion, negation, nonequalities) ×
-//! random bound/free query patterns, across all three storage
-//! engines — plus directed tests pinning the adornment of repeated
-//! predicates, the strictly-smaller derivation counts that justify
-//! the rewrite, seed rebinding through the maintained fixpoint, and
-//! the fallback paths (all-free patterns, EDB patterns, rewrites that
-//! would be unstratifiable).
+//! random bound/free query patterns, across the B-tree oracle and both
+//! regimes of the adaptive engine — plus directed tests pinning the
+//! adornment of repeated predicates, the strictly-smaller derivation
+//! counts that justify the rewrite, seed rebinding through the
+//! maintained fixpoint, and the fallback paths (all-free patterns, EDB
+//! patterns, rewrites that would be unstratifiable).
+
+mod support;
 
 use proptest::prelude::*;
 use rtx::query::parser::parse_program;
 use rtx::query::{atom, Atom, QueryMode, Term};
-use rtx::relational::{fact, Instance, Schema, StorageMode};
-
-const ALL_MODES: [StorageMode; 3] = [
-    StorageMode::Adaptive,
-    StorageMode::Columnar,
-    StorageMode::Btree,
-];
+use rtx::relational::{fact, Instance, Schema};
+use support::ALL_LEGS;
 
 /// The same always-stratified pool as `tests/storage.rs`: stratum 1 is
 /// positive (optionally recursive) over the EDB `e`, stratum 2 negates
@@ -46,14 +43,6 @@ fn random_program(picks: &[bool]) -> String {
         }
     }
     src
-}
-
-fn edge_instance_in(mode: StorageMode, pairs: &[(u8, u8)]) -> Instance {
-    let mut i = Instance::empty_in(mode, Schema::new().with("e", 2));
-    for &(a, b) in pairs {
-        i.insert_fact(fact!("e", a as i64, b as i64)).unwrap();
-    }
-    i
 }
 
 /// Build a pattern for `pred` with the given per-position bound mask
@@ -107,12 +96,12 @@ proptest! {
         let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
         let full = program.for_query_mode(&pattern, QueryMode::Materialize).unwrap();
         prop_assert!(!full.is_magic());
-        for mode in ALL_MODES {
-            let db = edge_instance_in(mode, &pairs);
+        for leg in ALL_LEGS {
+            let db = leg.edges(&pairs);
             prop_assert_eq!(
                 magic.answer(&db).unwrap(),
                 full.answer(&db).unwrap(),
-                "pattern {} over {:?} under {:?}", &pattern, &picks, mode
+                "pattern {} over {:?} under {:?}", &pattern, &picks, leg
             );
         }
     }
@@ -127,8 +116,8 @@ proptest! {
         second in 0i64..6,
     ) {
         let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
-        for mode in ALL_MODES {
-            let db = edge_instance_in(mode, &pairs);
+        for leg in ALL_LEGS {
+            let db = leg.edges(&pairs);
             let q1 = program
                 .for_query_mode(&pattern_of("p", &[true, false], &[first, 0]), QueryMode::Magic)
                 .unwrap();
@@ -145,7 +134,7 @@ proptest! {
             prop_assert_eq!(
                 q2.answer_from(fix.current()).unwrap(),
                 q2.answer(&db).unwrap(),
-                "rebind {} -> {} over {:?} under {:?}", first, second, &pairs, mode
+                "rebind {} -> {} over {:?} under {:?}", first, second, &pairs, leg
             );
         }
     }
@@ -169,8 +158,8 @@ fn repeated_predicate_under_multiple_adornments() {
     let full = program
         .for_query_mode(&pattern, QueryMode::Materialize)
         .unwrap();
-    for mode in ALL_MODES {
-        let db = edge_instance_in(mode, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
+    for leg in ALL_LEGS {
+        let db = leg.edges(&[(0, 1), (1, 2), (2, 3), (4, 5)]);
         let m = magic.answer(&db).unwrap();
         assert_eq!(m, full.answer(&db).unwrap());
         assert_eq!(m.len(), 2); // two(0,2), two(0,3)
@@ -196,8 +185,8 @@ fn repeated_pattern_variable_is_filtered_exactly() {
     let full = program
         .for_query_mode(&pattern, QueryMode::Materialize)
         .unwrap();
-    for mode in ALL_MODES {
-        let db = edge_instance_in(mode, &[(1, 2), (2, 1), (2, 3)]);
+    for leg in ALL_LEGS {
+        let db = leg.edges(&[(1, 2), (2, 1), (2, 3)]);
         let m = magic.answer(&db).unwrap();
         assert_eq!(m, full.answer(&db).unwrap());
         assert_eq!(m.len(), 2); // p(1,1) and p(2,2) through the cycle
@@ -257,17 +246,14 @@ fn fallback_paths_answer_by_materialization() {
         .for_query_mode(&atom!("p"; 1), QueryMode::Magic)
         .unwrap();
     assert!(!q.is_magic());
-    for mode in ALL_MODES {
+    for leg in ALL_LEGS {
         let schema = Schema::new()
             .with("e", 2)
             .with("s", 1)
             .with("g", 1)
             .with("p", 1)
             .with("q", 1);
-        let mut db = Instance::empty_in(mode, schema);
-        for f in [fact!("e", 1, 2), fact!("s", 2), fact!("g", 3)] {
-            db.insert_fact(f).unwrap();
-        }
+        let db = leg.instance(schema, [fact!("e", 1, 2), fact!("s", 2), fact!("g", 3)]);
         // p(2) from s(2); p(1) from e(1,2) ∧ p(2) ∧ ¬q(2); the
         // pattern p(1) then filters to just (1).
         let ans = q.answer(&db).unwrap();

@@ -1,31 +1,26 @@
-//! Property tests for the storage engines: the adaptive and columnar
-//! sorted-run engines against the B-tree oracle (`RTX_STORAGE=btree`),
-//! under the schedules that exercise every adoption path — random
-//! interleaved inserts and deletes, `diff`/`apply_delta` round trips,
-//! set algebra, random stratified programs under naive and semi-naive
-//! evaluation, and the incremental fixpoint — plus directed tests
-//! pinning the adaptive engine's promotion boundary and hysteresis.
-//! Plus determinism of the process-wide value interner, which all
-//! engines share.
+//! Property tests for the storage engines: the adaptive engine, in
+//! both its small and promoted regimes, against the B-tree oracle
+//! (`RTX_STORAGE=btree`), under the schedules that exercise every
+//! adoption path — random interleaved inserts and deletes,
+//! `diff`/`apply_delta` round trips, set algebra, random stratified
+//! programs under naive and semi-naive evaluation, and the incremental
+//! fixpoint — plus directed tests pinning the adaptive engine's
+//! promotion boundary and hysteresis. Plus determinism of the
+//! process-wide value interner, which both engines share.
 //!
-//! Every test here builds **all** representations explicitly with
-//! `empty_in`/`from_facts_in`, so the suite is oracle-complete no
-//! matter what `RTX_STORAGE` the ambient process runs under.
+//! Every test here builds **all** representations explicitly (see
+//! `support::Leg`), so the suite is oracle-complete no matter what
+//! `RTX_STORAGE` the ambient process runs under.
+
+mod support;
 
 use proptest::prelude::*;
 use rtx::query::{EvalStrategy, MaintainedFixpoint};
 use rtx::relational::{
-    adaptive_promote_len, adaptive_reentry_len, fact, Fact, Instance, Relation, Schema,
+    adaptive_promote_len, adaptive_reentry_len, fact, Fact, Instance, Relation, Run, Schema,
     StorageMode, Tuple, Value, Vid,
 };
-
-/// The three-way equivalence set: every engine in one array, oracle
-/// last.
-const ALL_MODES: [StorageMode; 3] = [
-    StorageMode::Adaptive,
-    StorageMode::Columnar,
-    StorageMode::Btree,
-];
+use support::{Leg, ALL_LEGS};
 
 fn tuple2(a: u8, b: u8) -> Tuple {
     vec![Value::Int(a as i64), Value::Int(b as i64)].into()
@@ -40,14 +35,6 @@ fn op_strategy() -> (
     std::ops::Range<u8>,
 ) {
     (any::<bool>(), 0u8..12, 0u8..12)
-}
-
-fn edge_instance_in(mode: StorageMode, pairs: &[(u8, u8)]) -> Instance {
-    let mut i = Instance::empty_in(mode, Schema::new().with("e", 2));
-    for &(a, b) in pairs {
-        i.insert_fact(fact!("e", a as i64, b as i64)).unwrap();
-    }
-    i
 }
 
 /// The pool of always-safe stratified rules a random program draws
@@ -79,67 +66,54 @@ fn random_program(picks: &[bool]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Adaptive, columnar, and B-tree relations agree tuple-for-tuple
+    /// Small, promoted, and B-tree relations agree tuple-for-tuple
     /// under any interleaving of inserts and deletes — the schedule
     /// that forces tail accumulation, run adoption, and tombstone
-    /// handling in the run-backed engines, and tombstone revival in
-    /// the adaptive small log.
+    /// handling in the promoted regime, and tombstone revival in the
+    /// small log.
     #[test]
     fn columnar_matches_btree_under_mutation_schedules(
         ops in proptest::collection::vec(op_strategy(), 0..60),
     ) {
-        let mut ad = Relation::empty_in(StorageMode::Adaptive, 2);
-        let mut col = Relation::empty_in(StorageMode::Columnar, 2);
-        let mut bt = Relation::empty_in(StorageMode::Btree, 2);
-        for op in &ops {
-            let (ins, a, b) = *op;
-            if ins {
-                let (x, y, z) = (col.insert(tuple2(a, b)).unwrap(),
-                                 bt.insert(tuple2(a, b)).unwrap(),
-                                 ad.insert(tuple2(a, b)).unwrap());
-                prop_assert_eq!(x, y, "insert novelty must agree");
-                prop_assert_eq!(z, y, "insert novelty must agree (adaptive)");
-            } else {
-                let keep = bt.remove(&tuple2(a, b));
-                prop_assert_eq!(col.remove(&tuple2(a, b)), keep);
-                prop_assert_eq!(ad.remove(&tuple2(a, b)), keep);
-            }
-            prop_assert_eq!(col.len(), bt.len());
-            prop_assert_eq!(ad.len(), bt.len());
+        let mut rels = ALL_LEGS.map(|leg| leg.relation(2, []));
+        for &(ins, a, b) in &ops {
+            let t = tuple2(a, b);
+            let novel = rels
+                .iter_mut()
+                .map(|r| if ins { r.insert(t.clone()).unwrap() } else { r.remove(&t) })
+                .collect::<Vec<_>>();
+            prop_assert!(novel.iter().all(|&n| n == novel[2]), "novelty must agree: {:?}", novel);
+            prop_assert!(rels.iter().all(|r| r.len() == rels[2].len()));
         }
-        // Cross-mode equality is content equality.
-        prop_assert_eq!(&col, &bt);
-        prop_assert_eq!(&ad, &bt);
-        prop_assert_eq!(&ad, &col);
-        prop_assert!(col.iter().eq(bt.iter()), "iteration order is the sorted order");
-        prop_assert!(ad.iter().eq(bt.iter()), "iteration order is the sorted order (adaptive)");
-        for a in 0..12u8 {
-            for b in 0..12u8 {
-                prop_assert_eq!(col.contains(&tuple2(a, b)), bt.contains(&tuple2(a, b)));
-                prop_assert_eq!(ad.contains(&tuple2(a, b)), bt.contains(&tuple2(a, b)));
+        prop_assert!(!rels[1].in_small_regime(), "point mutations never demote");
+        // Cross-mode equality is content equality, in the sorted order.
+        for r in &rels {
+            for other in &rels {
+                prop_assert_eq!(r, other);
+                prop_assert!(r.iter().eq(other.iter()));
+            }
+            for a in 0..12u8 {
+                for b in 0..12u8 {
+                    prop_assert_eq!(r.contains(&tuple2(a, b)), rels[2].contains(&tuple2(a, b)));
+                }
             }
         }
     }
 
     /// `diff` and `apply_delta` round-trip across engines: a delta
-    /// computed between B-tree relations moves a columnar relation to
-    /// the same contents, and vice versa.
+    /// computed between B-tree relations moves an adaptive relation (in
+    /// either regime) to the same contents, and vice versa.
     #[test]
     fn deltas_transport_across_engines(
         from in proptest::collection::vec((0u8..10, 0u8..10), 0..25),
         to in proptest::collection::vec((0u8..10, 0u8..10), 0..25),
     ) {
-        let mk = |mode, pairs: &[(u8, u8)]| {
-            Relation::from_tuples_in(
-                mode, 2, pairs.iter().map(|&(a, b)| tuple2(a, b)).collect::<Vec<_>>(),
-            ).unwrap()
-        };
-        let bt_from = mk(StorageMode::Btree, &from);
-        let bt_to = mk(StorageMode::Btree, &to);
+        let bt_from = Leg::Btree.pairs(&from);
+        let bt_to = Leg::Btree.pairs(&to);
         let delta_bt = bt_to.diff(&bt_from).unwrap();
-        for mode in ALL_MODES {
-            let m_from = mk(mode, &from);
-            let m_to = mk(mode, &to);
+        for leg in ALL_LEGS {
+            let m_from = leg.pairs(&from);
+            let m_to = leg.pairs(&to);
             let delta_m = m_to.diff(&m_from).unwrap();
             prop_assert_eq!(delta_bt.added(), delta_m.added());
             prop_assert_eq!(delta_bt.removed(), delta_m.removed());
@@ -162,14 +136,9 @@ proptest! {
         xs in proptest::collection::vec((0u8..8, 0u8..8), 0..20),
         ys in proptest::collection::vec((0u8..8, 0u8..8), 0..20),
     ) {
-        let mk = |mode, pairs: &[(u8, u8)]| {
-            Relation::from_tuples_in(
-                mode, 2, pairs.iter().map(|&(a, b)| tuple2(a, b)).collect::<Vec<_>>(),
-            ).unwrap()
-        };
-        let (bx, by) = (mk(StorageMode::Btree, &xs), mk(StorageMode::Btree, &ys));
-        for mode in ALL_MODES {
-            let (mx, my) = (mk(mode, &xs), mk(mode, &ys));
+        let (bx, by) = (Leg::Btree.pairs(&xs), Leg::Btree.pairs(&ys));
+        for leg in ALL_LEGS {
+            let (mx, my) = (leg.pairs(&xs), leg.pairs(&ys));
             prop_assert_eq!(mx.union(&my).unwrap(), bx.union(&by).unwrap());
             prop_assert_eq!(mx.intersect(&my).unwrap(), bx.intersect(&by).unwrap());
             prop_assert_eq!(mx.difference(&my).unwrap(), bx.difference(&by).unwrap());
@@ -183,7 +152,7 @@ proptest! {
 
     /// Random stratified programs (negation, disequality, recursion)
     /// evaluate identically under naive and semi-naive strategies on
-    /// all three storage engines — six evaluations, one answer.
+    /// all three storage legs — six evaluations, one answer.
     #[test]
     fn stratified_evaluation_is_engine_independent(
         pairs in proptest::collection::vec((0u8..6, 0u8..6), 0..14),
@@ -191,8 +160,8 @@ proptest! {
     ) {
         let program = rtx::query::parser::parse_program(&random_program(&picks)).unwrap();
         let mut outs: Vec<Instance> = Vec::new();
-        for mode in ALL_MODES {
-            let db = edge_instance_in(mode, &pairs);
+        for leg in ALL_LEGS {
+            let db = leg.edges(&pairs);
             for strategy in [EvalStrategy::Naive, EvalStrategy::SemiNaive] {
                 outs.push(program.eval_with(&db, strategy).unwrap());
             }
@@ -204,7 +173,7 @@ proptest! {
 
     /// The incremental fixpoint over a random schedule of EDB deltas
     /// agrees with from-scratch evaluation, whichever of the three
-    /// engines holds the base instance — the counting/DRed path
+    /// storage legs holds the base instance — the counting/DRed path
     /// against the oracle.
     #[test]
     fn incremental_fixpoint_matches_scratch_on_both_engines(
@@ -214,8 +183,8 @@ proptest! {
         picks in proptest::collection::vec(any::<bool>(), RULE_POOL.len() - 1),
     ) {
         let program = rtx::query::parser::parse_program(&random_program(&picks)).unwrap();
-        for mode in ALL_MODES {
-            let mut db = edge_instance_in(mode, &base);
+        for leg in ALL_LEGS {
+            let mut db = leg.edges(&base);
             let mut maintained = MaintainedFixpoint::new(&program).unwrap();
             maintained.initialize(&db).unwrap();
             for tick in &ticks {
@@ -310,15 +279,13 @@ fn instance_deltas_transport_across_engines() {
         fact!("S", 7),
         fact!("E", 1, 2), // duplicate: second insert is a no-op
     ];
-    let bt = Instance::from_facts_in(StorageMode::Btree, schema.clone(), facts.clone()).unwrap();
-    for mode in ALL_MODES {
-        let inst = Instance::from_facts_in(mode, schema.clone(), facts.clone()).unwrap();
+    let bt = Leg::Btree.instance(schema.clone(), facts.clone());
+    for leg in ALL_LEGS {
+        let inst = leg.instance(schema.clone(), facts.clone());
         assert_eq!(inst, bt);
         assert_eq!(inst.fact_count(), 3);
 
-        let mut target =
-            Instance::from_facts_in(mode, schema.clone(), vec![fact!("E", 9, 9), fact!("S", 7)])
-                .unwrap();
+        let mut target = leg.instance(schema.clone(), vec![fact!("E", 9, 9), fact!("S", 7)]);
         let delta = bt.diff(&target);
         target.apply_delta(&delta).unwrap();
         assert_eq!(target, bt);
@@ -416,13 +383,13 @@ fn adaptive_clear_and_regrow_reenters_small_regime() {
         "bulk rebuild re-enters the small regime"
     );
 
-    // …and a query output (plain columnar run) landing via
-    // set_relation is re-housed adaptively too.
-    let as_output = Relation::from_tuples_in(StorageMode::Columnar, 2, vec![tuple2(2, 2)]).unwrap();
+    // …and a query output (a run, landing through `from_run`) at or
+    // below the floor enters in the small regime too.
+    let as_output = Relation::from_run(Run::from_sorted(2, [tuple2(2, 2)].iter()));
     inst.set_relation("E", as_output).unwrap();
-    let rehoused = inst.relation(&name).unwrap();
-    assert_eq!(rehoused.mode(), StorageMode::Adaptive);
-    assert!(rehoused.in_small_regime());
+    let landed = inst.relation(&name).unwrap();
+    assert_eq!(landed.mode(), StorageMode::Adaptive);
+    assert!(landed.in_small_regime());
 
     // Regrow: promotes again.
     for i in 0..n as i64 {
