@@ -109,7 +109,7 @@ impl Rule {
     }
 
     /// The cached join order for the given pinned delta atom.
-    fn plan(&self, pinned: Option<usize>) -> &[usize] {
+    pub(crate) fn plan(&self, pinned: Option<usize>) -> &[usize] {
         let plans = self.plans.get_or_init(|| {
             let atoms: Vec<&Atom> = self
                 .body

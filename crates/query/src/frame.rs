@@ -11,6 +11,12 @@
 //! fresh [`Run`], so a rule firing goes from stored runs to a derived
 //! run without ever leaving the interned-id domain.
 //!
+//! Atoms can also be compiled once into [`AtomSlots`] against a layout
+//! known ahead of time and joined by [`join_depth_first`]: one binding
+//! at a time, in place, with no per-atom column allocation. The
+//! incremental maintenance engine runs its precompiled delta plans
+//! that way, since each of its steps joins a handful of rows.
+//!
 //! The executor only runs when every source relation hands out a
 //! sorted run (the adaptive engine); engines fall back to the generic
 //! `Bindings` path otherwise (which is exactly what `RTX_STORAGE=btree`
@@ -18,7 +24,7 @@
 
 use crate::error::EvalError;
 use crate::term::{Atom, Term, Var};
-use rtx_relational::{Run, Tuple, Value, Vid};
+use rtx_relational::{Run, Value, Vid};
 use std::sync::Arc;
 
 /// Relations this small are joined by scan even in indexed mode — same
@@ -26,6 +32,7 @@ use std::sync::Arc;
 const SCAN_THRESHOLD: usize = 16;
 
 /// How one atom position relates to the frame being joined.
+#[derive(Clone, Debug)]
 enum Slot {
     /// A constant in the atom: candidate rows must carry this id.
     Const(Vid),
@@ -36,6 +43,138 @@ enum Slot {
     /// Repeated fresh variable: must equal the atom position of its
     /// first occurrence.
     Dup(usize),
+}
+
+/// One atom compiled against a fixed frame layout: every position
+/// classified as constant (pre-interned), bound column, fresh
+/// variable, or repeat of an earlier position, plus the probe key
+/// columns. Built once per (rule, join order) by a planner that knows
+/// the layout statically — see `incremental.rs` — or per call by
+/// [`Frame::join_atom`].
+#[derive(Clone, Debug)]
+pub(crate) struct AtomSlots {
+    slots: Vec<Slot>,
+    /// Positions whose id is known before looking at the row.
+    key_cols: Vec<usize>,
+    /// Number of columns bound before this atom joins.
+    base: usize,
+    /// Number of fresh variables (columns the join appends).
+    fresh: usize,
+}
+
+impl AtomSlots {
+    /// Compile `atom` against the variables bound so far (`layout`, in
+    /// frame column order), appending its fresh variables to `layout`
+    /// in first-occurrence order.
+    pub(crate) fn compile(atom: &Atom, layout: &mut Vec<Var>) -> AtomSlots {
+        let bound = layout.len();
+        let mut slots = Vec::with_capacity(atom.terms.len());
+        for (p, t) in atom.terms.iter().enumerate() {
+            let slot = match t {
+                Term::Const(c) => Slot::Const(Vid::from_value(c)),
+                Term::Var(v) => match layout[..bound].iter().position(|w| w == v) {
+                    Some(c) => Slot::Bound(c),
+                    None => match atom.terms[..p].iter().position(|u| u.as_var() == Some(v)) {
+                        Some(first) => Slot::Dup(first),
+                        None => {
+                            layout.push(*v);
+                            Slot::Fresh
+                        }
+                    },
+                },
+            };
+            slots.push(slot);
+        }
+        let key_cols = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| matches!(s, Slot::Const(_) | Slot::Bound(_)))
+            .map(|(p, _)| p)
+            .collect();
+        AtomSlots {
+            slots,
+            key_cols,
+            base: bound,
+            fresh: layout.len() - bound,
+        }
+    }
+
+    /// Bind one candidate row (its ids by position, via `get`) into
+    /// `env`: check constants, bound columns (unless a probe on the key
+    /// columns already did) and repeated variables, and write the fresh
+    /// variables to their columns. `false` when the row does not match.
+    #[inline]
+    pub(crate) fn bind(&self, get: impl Fn(usize) -> Vid, env: &mut [Vid], keyed: bool) -> bool {
+        let mut next = self.base;
+        for (p, s) in self.slots.iter().enumerate() {
+            let ok = match *s {
+                Slot::Const(k) => keyed || get(p) == k,
+                Slot::Bound(c) => keyed || get(p) == env[c],
+                Slot::Dup(first) => get(p) == get(first),
+                Slot::Fresh => {
+                    env[next] = get(p);
+                    next += 1;
+                    true
+                }
+            };
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The depth-first counterpart of a [`Frame`] join chain, for plans
+/// compiled once and run many times on tiny inputs (the maintenance
+/// engine's elementary steps). `env` holds one binding, sized to the
+/// final layout, with the columns before `steps[0]` already bound;
+/// each step probes a view of its run on the key columns (scanning
+/// runs of at most [`SCAN_THRESHOLD`] rows), binds its fresh columns in
+/// place and recurses, and `visit` sees every complete binding — one
+/// call per firing, duplicates included. Nothing is allocated per
+/// binding, where a frame join allocates its columns per atom. `runs`
+/// is parallel to `steps`.
+pub(crate) fn join_depth_first(
+    steps: &[AtomSlots],
+    runs: &[&Run],
+    env: &mut [Vid],
+    visit: &mut dyn FnMut(&[Vid]),
+) {
+    let (Some((atom, rest)), Some((run, rest_runs))) = (steps.split_first(), runs.split_first())
+    else {
+        visit(env);
+        return;
+    };
+    if run.is_empty() {
+        return;
+    }
+    let keys = &atom.key_cols;
+    if keys.is_empty() || run.len() <= SCAN_THRESHOLD {
+        for ri in 0..run.len() {
+            if atom.bind(|p| run.col(p)[ri], env, false) {
+                join_depth_first(rest, rest_runs, env, visit);
+            }
+        }
+        return;
+    }
+    let key: Vec<Vid> = keys
+        .iter()
+        .map(|&p| match atom.slots[p] {
+            Slot::Const(k) => k,
+            Slot::Bound(c) => env[c],
+            _ => unreachable!("key columns are const or bound"),
+        })
+        .collect();
+    let view = run.view(keys);
+    let hits = view
+        .probe_rows(&key)
+        .expect("columnar runs build view indexes");
+    for ri in hits {
+        if atom.bind(|p| run.col(p)[ri], env, true) {
+            join_depth_first(rest, rest_runs, env, visit);
+        }
+    }
 }
 
 /// A set of partial variable bindings in columnar form.
@@ -66,37 +205,6 @@ impl Frame {
         self.rows == 0
     }
 
-    fn col_of(&self, v: Var) -> Option<usize> {
-        self.vars.iter().position(|&w| w == v)
-    }
-
-    /// Classify the atom's positions against the current frame and
-    /// list the fresh variables in first-occurrence order.
-    fn slots(&self, atom: &Atom) -> (Vec<Slot>, Vec<Var>) {
-        let mut slots = Vec::with_capacity(atom.terms.len());
-        let mut fresh: Vec<Var> = Vec::new();
-        for (p, t) in atom.terms.iter().enumerate() {
-            let slot = match t {
-                Term::Const(c) => Slot::Const(Vid::from_value(c)),
-                Term::Var(v) => {
-                    if let Some(c) = self.col_of(*v) {
-                        Slot::Bound(c)
-                    } else {
-                        match atom.terms[..p].iter().position(|u| u.as_var() == Some(v)) {
-                            Some(first) => Slot::Dup(first),
-                            None => {
-                                fresh.push(*v);
-                                Slot::Fresh
-                            }
-                        }
-                    }
-                }
-            };
-            slots.push(slot);
-        }
-        (slots, fresh)
-    }
-
     /// Join the atom against `run`, appending fresh-variable columns.
     ///
     /// `indexed` selects the access path: a cached run view probed on
@@ -105,30 +213,26 @@ impl Frame {
     /// run (scan) order, so the output row order — and therefore
     /// everything downstream — is identical.
     pub(crate) fn join_atom(&self, atom: &Atom, run: &Arc<Run>, indexed: bool) -> Frame {
-        let (slots, fresh) = self.slots(atom);
+        let mut vars = self.vars.clone();
+        let atom = AtomSlots::compile(atom, &mut vars);
+        let slots = &atom.slots;
+        let nold = self.cols.len();
         // First unconstrained atom against a unit frame: the result is
         // the run's columns verbatim — copy them wholesale.
-        if self.vars.is_empty() && self.rows == 1 && fresh.len() == slots.len() {
+        if nold == 0 && self.rows == 1 && atom.fresh == slots.len() {
             return Frame {
-                vars: fresh,
+                vars,
                 cols: (0..slots.len()).map(|p| run.col(p).to_vec()).collect(),
                 rows: run.len(),
             };
         }
-        let out_vars: Vec<Var> = self.vars.iter().copied().chain(fresh).collect();
-        let mut out_cols: Vec<Vec<Vid>> = vec![Vec::new(); out_vars.len()];
-        let nold = self.vars.len();
+        let mut out_cols: Vec<Vec<Vid>> = vec![Vec::new(); nold + atom.fresh];
 
         // Key columns for the probe: every position whose id is known
         // before looking at the row.
-        let key_cols: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, Slot::Const(_) | Slot::Bound(_)))
-            .map(|(p, _)| p)
-            .collect();
+        let key_cols = &atom.key_cols;
         let use_probe = indexed && !key_cols.is_empty() && run.len() > SCAN_THRESHOLD;
-        let view = use_probe.then(|| run.view(&key_cols));
+        let view = use_probe.then(|| run.view(key_cols));
         let mut key: Vec<Vid> = Vec::with_capacity(key_cols.len());
 
         let emit = |out_cols: &mut Vec<Vec<Vid>>, fi: usize, ri: usize| {
@@ -166,7 +270,7 @@ impl Frame {
             match &view {
                 Some(view) => {
                     key.clear();
-                    for &p in &key_cols {
+                    for &p in key_cols {
                         key.push(match &slots[p] {
                             Slot::Const(k) => *k,
                             Slot::Bound(c) => self.cols[*c][fi],
@@ -194,7 +298,7 @@ impl Frame {
             }
         }
         Frame {
-            vars: out_vars,
+            vars,
             cols: out_cols,
             rows: out_rows,
         }
@@ -203,10 +307,7 @@ impl Frame {
     /// Resolve a term to a per-row id source, or `None` if it is an
     /// unbound variable.
     fn source(&self, t: &Term) -> Option<Src> {
-        match t {
-            Term::Const(c) => Some(Src::Lit(Vid::from_value(c))),
-            Term::Var(v) => self.col_of(*v).map(Src::Col),
-        }
+        Src::compile(t, &self.vars)
     }
 
     /// Keep only rows where `x ≠ y`. Errors if either side is unbound.
@@ -280,40 +381,6 @@ impl Frame {
         Ok(Run::from_cols(self.rows, cols))
     }
 
-    /// Group the frame's rows by their instantiation of `terms` and
-    /// return each distinct tuple with its multiplicity — the firing
-    /// counts a counting-maintenance engine needs. Unlike
-    /// [`Frame::project`] nothing is deduplicated away; every row is a
-    /// firing. Errors if a term variable is unbound.
-    pub(crate) fn project_counts(&self, terms: &[Term]) -> Result<Vec<(Tuple, u64)>, EvalError> {
-        let srcs: Vec<Src> = terms
-            .iter()
-            .map(|t| {
-                self.source(t).ok_or_else(|| EvalError::Unsafe {
-                    reason: "head term unbound".into(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let mut rows: Vec<Vec<Vid>> = (0..self.rows)
-            .map(|r| srcs.iter().map(|s| s.get(self, r)).collect())
-            .collect();
-        // Group by raw id (equality-compatible with value equality,
-        // since the encoding is canonical).
-        rows.sort_unstable_by(|a, b| a.iter().map(|v| v.raw()).cmp(b.iter().map(|v| v.raw())));
-        let mut out: Vec<(Tuple, u64)> = Vec::new();
-        let mut i = 0;
-        while i < rows.len() {
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == rows[i] {
-                j += 1;
-            }
-            let t: Tuple = rows[i].iter().map(|v| v.value()).collect();
-            out.push((t, (j - i) as u64));
-            i = j;
-        }
-        Ok(out)
-    }
-
     /// Materialize one row's instantiation of `terms` as a [`Tuple`].
     #[cfg(test)]
     fn tuple_at(&self, terms: &[Term], r: usize) -> rtx_relational::Tuple {
@@ -328,17 +395,38 @@ impl Frame {
 }
 
 /// A per-row id source: a literal or a frame column.
-enum Src {
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Src {
+    /// A constant id.
     Lit(Vid),
+    /// A frame column.
     Col(usize),
 }
 
 impl Src {
+    /// Resolve a term against a frame column layout; `None` when the
+    /// term is a variable the layout does not bind.
+    pub(crate) fn compile(t: &Term, layout: &[Var]) -> Option<Src> {
+        match t {
+            Term::Const(c) => Some(Src::Lit(Vid::from_value(c))),
+            Term::Var(v) => layout.iter().position(|w| w == v).map(Src::Col),
+        }
+    }
+
     #[inline]
     fn get(&self, f: &Frame, r: usize) -> Vid {
         match self {
             Src::Lit(k) => *k,
             Src::Col(c) => f.cols[*c][r],
+        }
+    }
+
+    /// The id this source takes in a depth-first binding.
+    #[inline]
+    pub(crate) fn at(&self, env: &[Vid]) -> Vid {
+        match self {
+            Src::Lit(k) => *k,
+            Src::Col(c) => env[*c],
         }
     }
 }
@@ -462,19 +550,58 @@ mod tests {
     #[test]
     fn project_counts_keeps_multiplicities() {
         // Two-hop over a diamond: 1→2→4 and 1→3→4 both derive (1,4).
+        // The depth-first executor reports every firing, duplicates
+        // included — the counts a counting-maintenance engine needs.
         let e = run_of(&[tuple![1, 2], tuple![1, 3], tuple![2, 4], tuple![3, 4]]);
         let atoms = [atom!("E"; @"X", @"Y"), atom!("E"; @"Y", @"Z")];
-        let mut f = Frame::unit();
-        for a in &atoms {
-            f = f.join_atom(a, &e, true);
-        }
-        let counts = f.project_counts(&[Term::var("X"), Term::var("Z")]).unwrap();
-        assert_eq!(counts, vec![(tuple![1, 4], 2)]);
-        // Projecting onto a constant folds every firing together.
-        let folded = f.project_counts(&[Term::cons(7)]).unwrap();
-        assert_eq!(folded, vec![(tuple![7], 2)]);
-        // Unbound head variables error like the generic path.
-        assert!(f.project_counts(&[Term::var("Q")]).is_err());
+        let mut layout = Vec::new();
+        let steps: Vec<AtomSlots> = atoms
+            .iter()
+            .map(|a| AtomSlots::compile(a, &mut layout))
+            .collect();
+        let head = [
+            Src::compile(&Term::var("X"), &layout).unwrap(),
+            Src::compile(&Term::var("Z"), &layout).unwrap(),
+        ];
+        let v = |i: i64| Vid::from_value(&Value::int(i));
+        let mut env = vec![v(0); layout.len()];
+        let mut firings: Vec<Tuple> = Vec::new();
+        join_depth_first(&steps, &[&e, &e], &mut env, &mut |env| {
+            firings.push(head.iter().map(|s| s.at(env).value()).collect())
+        });
+        assert_eq!(firings, vec![tuple![1, 4], tuple![1, 4]]);
+        // Same firings as the frame join of the same atoms.
+        let f = frame_join(&atoms, &[Arc::clone(&e), Arc::clone(&e)], true);
+        assert_eq!(f.rows(), 2);
+        // Unbound head variables do not compile.
+        assert!(Src::compile(&Term::var("Q"), &layout).is_none());
+        // Binding a row checks constants and repeated variables.
+        let r = atom!("R"; 1, @"X", @"X");
+        let slots = AtomSlots::compile(&r, &mut Vec::new());
+        let mut env = [v(0)];
+        assert!(slots.bind(|p| [v(1), v(2), v(2)][p], &mut env, false));
+        assert_eq!(env, [v(2)]);
+        assert!(!slots.bind(|p| [v(1), v(2), v(3)][p], &mut env, false));
+        assert!(!slots.bind(|p| [v(0), v(2), v(2)][p], &mut env, false));
+    }
+
+    #[test]
+    fn depth_first_probes_match_scans() {
+        // Large enough to probe: S(A,B) then E(A,C), bound on A.
+        let e = run_of(&(0..40i64).map(|i| tuple![i % 5, i]).collect::<Vec<_>>());
+        let s = run_of(&(0..20i64).map(|i| tuple![i, i * 10]).collect::<Vec<_>>());
+        let atoms = [atom!("S"; @"A", @"B"), atom!("E"; @"A", @"C")];
+        let mut layout = Vec::new();
+        let steps: Vec<AtomSlots> = atoms
+            .iter()
+            .map(|a| AtomSlots::compile(a, &mut layout))
+            .collect();
+        let mut env = vec![Vid::from_value(&Value::int(0)); layout.len()];
+        let mut n = 0;
+        join_depth_first(&steps, &[&s, &e], &mut env, &mut |_| n += 1);
+        let f = frame_join(&atoms, &[s, e], false);
+        assert_eq!(n, f.rows());
+        assert_eq!(n, 40);
     }
 
     #[test]

@@ -21,13 +21,54 @@
 //!   not enough — a fact can keep a spuriously positive count through
 //!   cyclic support — so the engine runs **DRed**: over-delete every
 //!   fact that lost any derivation, then re-derive the over-deleted
-//!   facts that still have support (computed by a backward join against
-//!   the surviving database), cascading until a fixpoint;
+//!   facts that still have support, cascading until a fixpoint;
 //! * **negation** is handled stratum by stratum: lower-stratum ±
 //!   changes are treated exactly like EDB deltas, and a stratum whose
 //!   *negated* inputs changed is recomputed wholesale from its
 //!   (maintained) inputs — only the affected stratum, never the whole
 //!   program.
+//!
+//! # Compiled delta plans
+//!
+//! [`MaintainedFixpoint::new`] compiles every rule once, so an
+//! elementary step does no planning and no name resolution:
+//!
+//! * per stratum, a **delta-plan table** keyed by predicate lists the
+//!   (rule, positive occurrence) pairs a change of that predicate
+//!   fires. Each pinned plan joins Δ first, then the other atoms in the
+//!   cached order of `Rule::plan(Some(i))`, with every atom's slots
+//!   (constants pre-interned, bound columns, fresh and repeated
+//!   variables), the nonequality and negation filters, and the head
+//!   projection resolved to binding columns;
+//! * per rule, a **backward plan** with the head's variables bound
+//!   first, so recounting one head tuple probes the body on the
+//!   columns that tuple fixes instead of scanning it.
+//!
+//! # The interned-id domain
+//!
+//! Worklists, over-deleted sets, net changes and support counts are all
+//! keyed by rows of interned value ids ([`VidRow`]). A step binds its Δ
+//! rows straight into a depth-first join over the other atoms' sorted
+//! runs ([`Run`]), probing run views on the bound columns, and head
+//! counts come back as id rows, so a step's joins allocate no frame and
+//! decode no value; [`rtx_relational::Tuple`]s are built only where
+//! edits reach stored relations. A step's commits to the stored
+//! relations are batched per predicate and written as one run merge
+//! just before something reads that predicate. When some source
+//! relation is not run-backed (the btree storage oracle) the same plans
+//! run on the generic `Bindings` path.
+//!
+//! # Re-derivation
+//!
+//! After the deletion cascade, every over-deleted fact is recounted
+//! **once**, all against the same surviving database (seed support plus
+//! the backward plans). The survivors re-enter with exactly that count
+//! and then cascade through the ordinary insertion worklist: a
+//! re-derived fact's pinned expansion hands the firings it adds to the
+//! facts it supports, which re-enter in turn when still over-deleted.
+//! A reverse chain therefore costs one recount per fact, not one
+//! rescan of the over-deleted set per link
+//! ([`FixpointStats::backward_counts`] counts the recounts).
 //!
 //! The per-evaluation cost is `O(changed derivations)` instead of
 //! `O(all derivations)`; strata whose inputs did not change are skipped
@@ -38,26 +79,21 @@
 
 use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;
-use crate::frame::Frame;
-use crate::plan::plan_order;
-use crate::term::{Atom, Bindings};
+use crate::frame::{join_depth_first, AtomSlots, Src};
+use crate::plan::plan_order_bound;
+use crate::term::{Atom, Bindings, Var};
 use rtx_relational::{
-    CountedRelation, Fact, Instance, InstanceDelta, RelName, Relation, Run, Tuple,
+    row_tuple, vid_row, CountedRelation, Instance, InstanceDelta, RelName, Relation, Run, Tuple,
+    Value, Vid, VidRow,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Per-head-tuple firing counts collected by a delta expansion.
-type HeadCounts = BTreeMap<RelName, BTreeMap<Tuple, u64>>;
-
-/// Pending per-predicate tuple batches (deterministic worklist).
-type Worklist = BTreeMap<RelName, BTreeSet<Tuple>>;
-
-/// A set-level ± change of one predicate.
+/// A set-level ± change of one predicate, as duplicate-free id rows.
 #[derive(Clone, Debug, Default)]
 struct Change {
-    added: BTreeSet<Tuple>,
-    removed: BTreeSet<Tuple>,
+    added: Vec<VidRow>,
+    removed: Vec<VidRow>,
 }
 
 impl Change {
@@ -81,6 +117,12 @@ pub struct FixpointStats {
     pub facts_retracted: u64,
     /// Over-deleted facts put back by DRed re-derivation.
     pub facts_rederived: u64,
+    /// Elementary steps executed: one mixed expansion of one
+    /// predicate's pending batch (an input change or a cascade batch).
+    pub steps: u64,
+    /// Backward recounts of over-deleted facts during DRed
+    /// re-derivation — at most one per over-deleted fact and delta.
+    pub backward_counts: u64,
     /// Facts produced by rule firings per stratum (before the novelty
     /// check) in the most recent from-scratch evaluation — the work
     /// the fixpoint loop actually did. Filled by
@@ -138,13 +180,239 @@ impl FixpointStats {
             "fixpoint.facts_rederived",
             self.facts_rederived.saturating_sub(earlier.facts_rederived),
         );
+        add("fixpoint.steps", self.steps.saturating_sub(earlier.steps));
+        add(
+            "fixpoint.backward_counts",
+            self.backward_counts.saturating_sub(earlier.backward_counts),
+        );
+    }
+}
+
+/// The program's predicates, numbered in name order: every per-
+/// predicate table of the engine is a `Vec` indexed by these ids, and
+/// the worklists pop the lowest id first, so batches run in predicate
+/// name order.
+struct Preds {
+    names: Vec<RelName>,
+    arity: Vec<usize>,
+    ids: BTreeMap<RelName, usize>,
+}
+
+impl Preds {
+    fn new(program: &Program) -> Preds {
+        let sig = program.signature();
+        let names: Vec<RelName> = sig.iter().map(|(n, _)| n.clone()).collect();
+        let arity = sig.iter().map(|(_, a)| a).collect();
+        let ids = names
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, n)| (n, i))
+            .collect();
+        Preds { names, arity, ids }
+    }
+
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    fn id(&self, p: &RelName) -> Result<usize, EvalError> {
+        self.ids
+            .get(p)
+            .copied()
+            .ok_or_else(|| EvalError::Other(format!("predicate `{p}` not in the program")))
+    }
+}
+
+/// A rule body compiled for the depth-first executor: the positive
+/// atoms in join order with their slots, then the filters and the head
+/// projection, all resolved to binding columns.
+struct JoinPlan {
+    /// Positive-atom indices in join order.
+    order: Vec<usize>,
+    /// Compiled slots, parallel to `order`.
+    steps: Vec<AtomSlots>,
+    /// Nonequalities.
+    diseqs: Vec<(Src, Src)>,
+    /// Negated atoms: predicate id and key sources.
+    negs: Vec<(usize, Vec<Src>)>,
+    /// The head projection.
+    head: Vec<Src>,
+    /// Columns of a complete binding.
+    width: usize,
+}
+
+impl JoinPlan {
+    /// Compile `rule` for the join `order`, starting from a binding
+    /// whose first columns hold `layout`.
+    fn compile(
+        rule: &Rule,
+        atoms: &[&Atom],
+        order: Vec<usize>,
+        mut layout: Vec<Var>,
+        preds: &Preds,
+    ) -> Result<JoinPlan, EvalError> {
+        let steps = order
+            .iter()
+            .map(|&k| AtomSlots::compile(atoms[k], &mut layout))
+            .collect();
+        let src = |t, what: &str| {
+            Src::compile(t, &layout).ok_or_else(|| EvalError::Unsafe {
+                reason: format!("{what} over unbound variable in {rule:?}"),
+            })
+        };
+        let mut diseqs = Vec::new();
+        let mut negs = Vec::new();
+        for l in rule.body() {
+            match l {
+                Literal::Pos(_) => {}
+                Literal::Neg(a) => {
+                    let key = a
+                        .terms
+                        .iter()
+                        .map(|t| src(t, "negated atom"))
+                        .collect::<Result<_, _>>()?;
+                    negs.push((preds.id(&a.pred)?, key));
+                }
+                Literal::Diseq(x, y) => {
+                    diseqs.push((src(x, "nonequality")?, src(y, "nonequality")?))
+                }
+            }
+        }
+        let head = rule
+            .head()
+            .terms
+            .iter()
+            .map(|t| src(t, "head"))
+            .collect::<Result<_, _>>()?;
+        Ok(JoinPlan {
+            order,
+            steps,
+            diseqs,
+            negs,
+            head,
+            width: layout.len(),
+        })
+    }
+
+    /// Run the plan depth-first over the positive-atom sources `runs`
+    /// (indexed by atom; `None` only for an atom `start` binds) and the
+    /// negated-atom sources `negs` (parallel to `self.negs`), handing
+    /// every surviving firing's head row to `emit`.
+    fn execute(
+        &self,
+        start: Start<'_>,
+        runs: &[Option<Arc<Run>>],
+        negs: &[Arc<Run>],
+        emit: &mut dyn FnMut(&[Vid]),
+    ) {
+        let from = usize::from(matches!(start, Start::Delta(_)));
+        let srcs: Vec<&Run> = self.order[from..]
+            .iter()
+            .map(|&k| &**runs[k].as_ref().expect("a source for every joined atom"))
+            .collect();
+        let mut env = vec![Vid::from_value(&Value::int(0)); self.width];
+        let mut head: Vec<Vid> = Vec::with_capacity(self.head.len());
+        let mut key: Vec<Vid> = Vec::new();
+        let mut leaf = |env: &[Vid]| {
+            if self.diseqs.iter().any(|(x, y)| x.at(env) == y.at(env)) {
+                return;
+            }
+            for ((_, srcs), run) in self.negs.iter().zip(negs) {
+                key.clear();
+                key.extend(srcs.iter().map(|s| s.at(env)));
+                if run.contains_vids(&key) {
+                    return;
+                }
+            }
+            head.clear();
+            head.extend(self.head.iter().map(|s| s.at(env)));
+            emit(&head);
+        };
+        let steps = &self.steps[from..];
+        match start {
+            Start::Unit => join_depth_first(steps, &srcs, &mut env, &mut leaf),
+            Start::Head(slots, row) => {
+                if slots.bind(|p| row[p], &mut env, false) {
+                    join_depth_first(steps, &srcs, &mut env, &mut leaf);
+                }
+            }
+            // The pinned atom leads the plan: bind each Δ row through
+            // its slots, then join the rest.
+            Start::Delta(rows) => {
+                for row in rows {
+                    if self.steps[0].bind(|p| row[p], &mut env, false) {
+                        join_depth_first(steps, &srcs, &mut env, &mut leaf);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Where a plan's first binding comes from.
+enum Start<'r> {
+    /// Nothing bound: a whole-body recount.
+    Unit,
+    /// The head's variables, bound from the recounted row.
+    Head(&'r AtomSlots, &'r [Vid]),
+    /// The pinned atom's variables, bound from each Δ row in turn.
+    Delta(&'r [VidRow]),
+}
+
+/// One rule compiled for maintenance.
+struct CompiledRule {
+    /// Predicate id of the head.
+    head: usize,
+    /// Predicate id of each positive atom, in body order.
+    atom_preds: Vec<usize>,
+    /// The whole body, nothing pinned (`Rule::plan(None)`): recounts at
+    /// initialization and stratum rebuilds.
+    full: JoinPlan,
+    /// One plan per positive occurrence `i`: Δ joined first, then the
+    /// order of `Rule::plan(Some(i))`.
+    pinned: Vec<JoinPlan>,
+    /// The head atom as the first "join" of a backward recount: binds
+    /// the head's variables from the recounted row.
+    head_slots: AtomSlots,
+    /// The body ordered and compiled with the head's variables bound.
+    backward: JoinPlan,
+}
+
+impl CompiledRule {
+    fn compile(rule: &Rule, preds: &Preds) -> Result<CompiledRule, EvalError> {
+        let atoms = positive_atoms(rule);
+        let atom_preds = atoms
+            .iter()
+            .map(|a| preds.id(&a.pred))
+            .collect::<Result<_, _>>()?;
+        let full = JoinPlan::compile(rule, &atoms, rule.plan(None).to_vec(), Vec::new(), preds)?;
+        let pinned = (0..atoms.len())
+            .map(|i| {
+                JoinPlan::compile(rule, &atoms, rule.plan(Some(i)).to_vec(), Vec::new(), preds)
+            })
+            .collect::<Result<_, _>>()?;
+        let mut head_vars = Vec::new();
+        let head_slots = AtomSlots::compile(rule.head(), &mut head_vars);
+        let order = plan_order_bound(&atoms, None, head_vars.iter().copied().collect());
+        let backward = JoinPlan::compile(rule, &atoms, order, head_vars, preds)?;
+        Ok(CompiledRule {
+            head: preds.id(&rule.head().pred)?,
+            atom_preds,
+            full,
+            pinned,
+            head_slots,
+            backward,
+        })
     }
 }
 
 /// Static shape of one stratum, computed once at construction.
 struct StratumInfo {
-    /// IDB predicates assigned to this stratum.
-    preds: BTreeSet<RelName>,
+    /// IDB predicates assigned to this stratum (ids, ascending). Only
+    /// these ever appear in a pass's worklists and head tables, so a
+    /// pass scans them rather than every predicate of the program.
+    preds: Vec<usize>,
     /// Indices into `program.rules()` whose head is in `preds`.
     rules: Vec<usize>,
     /// Does any rule of the stratum read a stratum predicate
@@ -152,102 +420,162 @@ struct StratumInfo {
     /// dependencies as recursion, which only costs DRed generality.)
     recursive: bool,
     /// Predicates appearing negated in a stratum rule (all lower).
-    negated: BTreeSet<RelName>,
+    negated: BTreeSet<usize>,
     /// Non-stratum predicates read positively (EDB or lower IDB).
-    reads: BTreeSet<RelName>,
+    reads: BTreeSet<usize>,
     /// Predicates with ≥ 2 positive occurrences in a single rule body
     /// (their elementary steps need explicit pre/post versions).
-    multi: BTreeSet<RelName>,
+    multi: BTreeSet<usize>,
+    /// The delta-plan table: per predicate id, the (rule, positive
+    /// occurrence) pairs a change of that predicate fires.
+    delta: Vec<Vec<(usize, usize)>>,
     /// The stratum's rules as a standalone program (rebuild path).
     sub: Program,
 }
 
-/// Pre/post versions of the pinned predicate for a mixed expansion.
-/// `Unneeded` when the predicate occurs at most once per body.
-enum PinnedVersions<'a> {
-    Unneeded,
-    Both {
-        pre: &'a Relation,
-        post: &'a Relation,
-    },
+/// The per-predicate working tables of a stratum pass, indexed by
+/// predicate id. One set lives as long as the fixpoint: every pass
+/// leaves them empty (keeping their capacity), so a pass allocates
+/// nothing up front.
+struct PassTables {
+    del_work: Vec<Vec<VidRow>>,
+    add_work: Vec<Vec<VidRow>>,
+    /// DRed over-deleted facts awaiting re-derivation.
+    overdeleted: Vec<HashSet<VidRow>>,
+    /// Net set-level change: `true` = added, `false` = removed.
+    net: Vec<HashMap<VidRow, bool>>,
+    /// Committed stratum-predicate edits not yet written to `total`
+    /// (`true` = insert, `false` = remove). A predicate's edits are
+    /// written as one batch just before something reads its stored
+    /// relation, so a cascade that never reads the predicate it
+    /// extends — a chain, pinned on its own delta — pays one run merge
+    /// per pass instead of one tail edit per fact.
+    pending: Vec<HashMap<VidRow, bool>>,
+    /// Head firing counts of the step in flight.
+    heads: Vec<HashMap<VidRow, u64>>,
+}
+
+impl PassTables {
+    fn new(n: usize) -> PassTables {
+        PassTables {
+            del_work: vec![Vec::new(); n],
+            add_work: vec![Vec::new(); n],
+            overdeleted: vec![HashSet::new(); n],
+            net: vec![HashMap::new(); n],
+            pending: vec![HashMap::new(); n],
+            heads: vec![HashMap::new(); n],
+        }
+    }
+
+    /// Empty the tables of `preds` — a no-op unless a failed pass left
+    /// something behind.
+    fn reset(&mut self, preds: &[usize]) {
+        for &p in preds {
+            self.del_work[p].clear();
+            self.add_work[p].clear();
+            if !self.overdeleted[p].is_empty() {
+                self.overdeleted[p].clear();
+            }
+            for m in [&mut self.net[p], &mut self.pending[p]] {
+                if !m.is_empty() {
+                    m.clear();
+                }
+            }
+            if !self.heads[p].is_empty() {
+                self.heads[p].clear();
+            }
+        }
+    }
 }
 
 /// A stratified-Datalog fixpoint maintained across evaluations under ±
 /// deltas of its base facts (see the module docs for the algorithm).
 pub struct MaintainedFixpoint {
     program: Program,
+    preds: Preds,
+    /// Parallel to `program.rules()`.
+    rules: Vec<CompiledRule>,
     strata: Vec<StratumInfo>,
     /// The base (seed) facts as last applied: EDB relations plus any
     /// exogenously seeded IDB facts.
     base: Instance,
     /// The materialized fixpoint: always equals `program.eval(&base)`.
     total: Instance,
-    /// Support counts per IDB predicate.
-    counts: BTreeMap<RelName, CountedRelation>,
+    /// Support counts per predicate id (`Some` exactly for IDB).
+    counts: Vec<Option<CountedRelation>>,
+    tables: PassTables,
     initialized: bool,
     stats: FixpointStats,
 }
 
 impl MaintainedFixpoint {
-    /// Prepare a maintained fixpoint for a program. Fails when the
+    /// Prepare a maintained fixpoint for a program: stratify it and
+    /// compile every rule's delta and backward plans. Fails when the
     /// program is not stratifiable.
     pub fn new(program: &Program) -> Result<Self, EvalError> {
         let strata_preds = program.stratify()?;
+        let preds = Preds::new(program);
         let rules = program.rules();
+        let compiled = rules
+            .iter()
+            .map(|r| CompiledRule::compile(r, &preds))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut strata = Vec::with_capacity(strata_preds.len());
-        for preds in strata_preds {
-            let idxs: Vec<usize> = rules
+        for names in strata_preds {
+            let members: Vec<usize> = names
+                .iter()
+                .map(|p| preds.id(p))
+                .collect::<Result<_, _>>()?;
+            let idxs: Vec<usize> = compiled
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| preds.contains(&r.head().pred))
+                .filter(|(_, r)| members.contains(&r.head))
                 .map(|(i, _)| i)
                 .collect();
             let mut recursive = false;
             let mut negated = BTreeSet::new();
             let mut reads = BTreeSet::new();
             let mut multi = BTreeSet::new();
+            let mut delta = vec![Vec::new(); preds.len()];
             for &ri in &idxs {
-                let mut occ: BTreeMap<&RelName, usize> = BTreeMap::new();
-                for l in rules[ri].body() {
-                    match l {
-                        Literal::Pos(a) => {
-                            *occ.entry(&a.pred).or_insert(0) += 1;
-                            if preds.contains(&a.pred) {
-                                recursive = true;
-                            } else {
-                                reads.insert(a.pred.clone());
-                            }
-                        }
-                        Literal::Neg(a) => {
-                            negated.insert(a.pred.clone());
-                        }
-                        Literal::Diseq(_, _) => {}
+                let cr = &compiled[ri];
+                let mut occ: BTreeMap<usize, usize> = BTreeMap::new();
+                for (i, &p) in cr.atom_preds.iter().enumerate() {
+                    *occ.entry(p).or_insert(0) += 1;
+                    delta[p].push((ri, i));
+                    if members.contains(&p) {
+                        recursive = true;
+                    } else {
+                        reads.insert(p);
                     }
                 }
-                for (p, n) in occ {
-                    if n >= 2 {
-                        multi.insert(p.clone());
-                    }
-                }
+                negated.extend(cr.full.negs.iter().map(|(p, _)| *p));
+                multi.extend(occ.into_iter().filter(|&(_, n)| n >= 2).map(|(p, _)| p));
             }
             let sub = Program::new(idxs.iter().map(|&i| rules[i].clone()).collect())?;
             strata.push(StratumInfo {
-                preds,
+                preds: members,
                 rules: idxs,
                 recursive,
                 negated,
                 reads,
                 multi,
+                delta,
                 sub,
             });
         }
+        let counts = (0..preds.len()).map(|_| None).collect();
+        let tables = PassTables::new(preds.len());
         Ok(MaintainedFixpoint {
             program: program.clone(),
+            preds,
+            rules: compiled,
             strata,
             base: Instance::empty(program.signature().clone()),
             total: Instance::empty(program.signature().clone()),
             initialized: false,
-            counts: BTreeMap::new(),
+            counts,
+            tables,
             stats: FixpointStats::default(),
         })
     }
@@ -274,21 +602,25 @@ impl MaintainedFixpoint {
     pub fn initialize(&mut self, base: &Instance) -> Result<&Instance, EvalError> {
         let (total, eval_stats) = self.program.eval_with_stats(base)?;
         self.base = base.widen(total.schema().clone()).map_err(EvalError::Rel)?;
-        self.counts.clear();
-        for p in self.program.idb_predicates() {
-            let arity = self
-                .program
-                .signature()
-                .arity(p)
-                .expect("IDB predicates are declared in the signature");
-            self.counts.insert(p.clone(), CountedRelation::empty(arity));
+        let idb = self.program.idb_predicates();
+        for (p, slot) in self.counts.iter_mut().enumerate() {
+            *slot = idb
+                .contains(&self.preds.names[p])
+                .then(|| CountedRelation::empty(self.preds.arity[p]));
         }
         self.total = total;
+        let all: Vec<usize> = (0..self.preds.len())
+            .filter(|&p| self.counts[p].is_some())
+            .collect();
+        let every_rule: Vec<usize> = (0..self.rules.len()).collect();
         recount_into(
             self.program.rules(),
+            &self.rules,
+            &every_rule,
+            &self.preds,
             &self.total,
             &self.base,
-            self.program.idb_predicates(),
+            &all,
             &mut self.counts,
         )?;
         self.initialized = true;
@@ -303,12 +635,17 @@ impl MaintainedFixpoint {
     /// After this returns, [`MaintainedFixpoint::current`] equals what
     /// `program.eval` would compute from scratch over the updated base
     /// — the equivalence the `incremental ≡ scratch` property suite
-    /// pins down.
+    /// pins down. Every fact of the delta is validated (declared
+    /// relation, matching arity) before anything changes, so a
+    /// rejected delta leaves the fixpoint exactly as it was.
     pub fn apply(&mut self, delta: &InstanceDelta) -> Result<&Instance, EvalError> {
         if !self.initialized {
             return Err(EvalError::Other(
                 "MaintainedFixpoint::apply before initialize".into(),
             ));
+        }
+        for f in delta.removed().iter().chain(delta.added()) {
+            self.base.schema().check_fact(f).map_err(EvalError::Rel)?;
         }
         let stats0 = rtx_obs::counting().then(|| self.stats.clone());
         self.stats.deltas_applied += 1;
@@ -320,62 +657,55 @@ impl MaintainedFixpoint {
             }
             return Ok(&self.total);
         }
-        let idb = self.program.idb_predicates().clone();
         // Set-filter the delta against the current base: only genuine
         // presence changes act. EDB changes commit to `total` up front
         // (strata reconstruct old versions as needed); IDB changes are
-        // seed-support changes routed to the owning stratum.
-        let mut changes: BTreeMap<RelName, Change> = BTreeMap::new();
-        let mut seeds: BTreeMap<RelName, Change> = BTreeMap::new();
+        // seed-support changes routed to the owning stratum. Relations
+        // the program never mentions only change `base` and `total`.
+        let n = self.preds.len();
+        let mut changes: Vec<Change> = vec![Change::default(); n];
+        let mut seeds: Vec<Change> = vec![Change::default(); n];
         for f in delta.removed() {
             if !self.base.remove_fact(f) {
                 continue;
             }
-            let slot = if idb.contains(f.rel()) {
-                &mut seeds
-            } else {
+            let id = self.preds.ids.get(f.rel()).copied();
+            let idb = id.is_some_and(|p| self.counts[p].is_some());
+            if !idb {
                 self.total.remove_fact(f);
-                &mut changes
-            };
-            slot.entry(f.rel().clone())
-                .or_default()
-                .removed
-                .insert(f.tuple().clone());
+            }
+            if let Some(p) = id {
+                let slot = if idb { &mut seeds[p] } else { &mut changes[p] };
+                slot.removed.push(vid_row(f.tuple()));
+            }
         }
         for f in delta.added() {
             if self.base.contains_fact(f) {
                 continue;
             }
             self.base.insert_fact(f.clone()).map_err(EvalError::Rel)?;
-            if idb.contains(f.rel()) {
-                seeds
-                    .entry(f.rel().clone())
-                    .or_default()
-                    .added
-                    .insert(f.tuple().clone());
-            } else {
+            let id = self.preds.ids.get(f.rel()).copied();
+            let idb = id.is_some_and(|p| self.counts[p].is_some());
+            if !idb {
                 self.total.insert_fact(f.clone()).map_err(EvalError::Rel)?;
-                changes
-                    .entry(f.rel().clone())
-                    .or_default()
-                    .added
-                    .insert(f.tuple().clone());
+            }
+            if let Some(p) = id {
+                let slot = if idb { &mut seeds[p] } else { &mut changes[p] };
+                slot.added.push(vid_row(f.tuple()));
             }
         }
         for si in 0..self.strata.len() {
             let info = &self.strata[si];
-            let seed_changes: BTreeMap<RelName, Change> = info
+            let seed_changes: Vec<(usize, Change)> = info
                 .preds
                 .iter()
-                .filter_map(|p| seeds.remove(p).map(|c| (p.clone(), c)))
+                .map(|&p| (p, std::mem::take(&mut seeds[p])))
                 .filter(|(_, c)| !c.is_empty())
                 .collect();
-            let touched: Vec<RelName> = changes
-                .iter()
-                .filter(|(p, c)| {
-                    !c.is_empty() && (info.reads.contains(*p) || info.negated.contains(*p))
+            let touched: Vec<usize> = (0..n)
+                .filter(|p| {
+                    !changes[*p].is_empty() && (info.reads.contains(p) || info.negated.contains(p))
                 })
-                .map(|(p, _)| p.clone())
                 .collect();
             if touched.is_empty() && seed_changes.is_empty() {
                 self.stats.strata_skipped += 1;
@@ -385,32 +715,25 @@ impl MaintainedFixpoint {
             if touched.iter().any(|p| info.negated.contains(p)) {
                 self.stats.strata_rebuilt += 1;
                 rtx_obs::event!("query", "dred.rebuild", "stratum" => si);
-                Self::rebuild_stratum(
-                    &self.strata[si],
-                    &self.base,
-                    &mut self.total,
-                    &mut self.counts,
-                    &mut changes,
-                )?;
+                self.rebuild_stratum(si, &mut changes)?;
                 continue;
             }
             self.stats.strata_incremental += 1;
             let cascade0 = (self.stats.facts_retracted, self.stats.facts_rederived);
+            self.tables.reset(&info.preds);
             let mut pass = StratumPass {
-                program: &self.program,
-                info: &self.strata[si],
+                preds: &self.preds,
+                rules: &self.rules,
+                program_rules: self.program.rules(),
+                info,
                 base: &self.base,
                 total: &mut self.total,
                 counts: &mut self.counts,
                 stats: &mut self.stats,
                 views: BTreeMap::new(),
-                del_work: Worklist::new(),
-                add_work: Worklist::new(),
-                overdeleted: Worklist::new(),
-                net: BTreeMap::new(),
+                t: &mut self.tables,
             };
             pass.run(&changes, &seed_changes)?;
-            let net = pass.net;
             if rtx_obs::tracing() {
                 rtx_obs::event!(
                     "query",
@@ -420,10 +743,14 @@ impl MaintainedFixpoint {
                     "rederived" => self.stats.facts_rederived - cascade0.1,
                 );
             }
-            for (p, c) in net {
-                let e = changes.entry(p).or_default();
-                e.added.extend(c.added);
-                e.removed.extend(c.removed);
+            for &p in &info.preds {
+                for (row, added) in self.tables.net[p].drain() {
+                    if added {
+                        changes[p].added.push(row);
+                    } else {
+                        changes[p].removed.push(row);
+                    }
+                }
             }
         }
         if let Some(earlier) = &stats0 {
@@ -435,329 +762,424 @@ impl MaintainedFixpoint {
     /// Recompute one stratum wholesale from its (already maintained)
     /// inputs — the fallback when a negated input changed. Only this
     /// stratum is touched; its net set-level change feeds higher strata.
-    fn rebuild_stratum(
-        info: &StratumInfo,
-        base: &Instance,
-        total: &mut Instance,
-        counts: &mut BTreeMap<RelName, CountedRelation>,
-        changes: &mut BTreeMap<RelName, Change>,
-    ) -> Result<(), EvalError> {
-        let mut old: BTreeMap<RelName, Relation> = BTreeMap::new();
-        for p in &info.preds {
-            let arity = total
-                .schema()
-                .arity(p)
-                .ok_or_else(|| EvalError::Other(format!("stratum predicate `{p}` undeclared")))?;
-            let rel = total
-                .relation_ref(p)
+    fn rebuild_stratum(&mut self, si: usize, changes: &mut [Change]) -> Result<(), EvalError> {
+        let info = &self.strata[si];
+        let mut old: Vec<(usize, Relation)> = Vec::new();
+        for &p in &info.preds {
+            let (name, arity) = (&self.preds.names[p], self.preds.arity[p]);
+            let rel = self
+                .total
+                .relation_ref(name)
                 .cloned()
                 .unwrap_or_else(|| Relation::empty(arity));
-            total
-                .set_relation(p.clone(), Relation::empty(arity))
+            self.total
+                .set_relation(name.clone(), Relation::empty(arity))
                 .map_err(EvalError::Rel)?;
-            counts.insert(p.clone(), CountedRelation::empty(arity));
-            old.insert(p.clone(), rel);
+            self.counts[p] = Some(CountedRelation::empty(arity));
+            old.push((p, rel));
         }
-        for f in base.facts() {
-            if info.preds.contains(f.rel()) {
-                total.insert_fact(f).map_err(EvalError::Rel)?;
+        for f in self.base.facts() {
+            if self
+                .preds
+                .ids
+                .get(f.rel())
+                .is_some_and(|p| info.preds.contains(p))
+            {
+                self.total.insert_fact(f).map_err(EvalError::Rel)?;
             }
         }
-        *total = info.sub.eval(total)?;
-        recount_into(info.sub.rules(), total, base, &info.preds, counts)?;
+        self.total = info.sub.eval(&self.total)?;
+        recount_into(
+            self.program.rules(),
+            &self.rules,
+            &info.rules,
+            &self.preds,
+            &self.total,
+            &self.base,
+            &info.preds,
+            &mut self.counts,
+        )?;
         for (p, old_rel) in old {
-            let arity = old_rel.arity();
-            let empty = Relation::empty(arity);
-            let new_rel = total.relation_ref(&p).unwrap_or(&empty);
-            let d = new_rel.diff(&old_rel).map_err(EvalError::Rel)?;
-            let (added, removed) = d.into_parts();
-            if added.is_empty() && removed.is_empty() {
-                continue;
-            }
-            let e = changes.entry(p).or_default();
-            e.added.extend(added);
-            e.removed.extend(removed);
+            let empty = Relation::empty(old_rel.arity());
+            let new_rel = self
+                .total
+                .relation_ref(&self.preds.names[p])
+                .unwrap_or(&empty);
+            let (added, removed) = new_rel.diff(&old_rel).map_err(EvalError::Rel)?.into_parts();
+            changes[p].added.extend(added.iter().map(vid_row));
+            changes[p].removed.extend(removed.iter().map(vid_row));
         }
         Ok(())
     }
 }
 
-/// One incremental maintenance pass over a single stratum.
+/// Which way an elementary step moves its batch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StepDir {
+    Remove,
+    Add,
+}
+
+/// Pre/post versions of the pinned predicate for a mixed expansion;
+/// `None` when the predicate occurs at most once per body.
+type Versions<'v> = Option<(&'v Relation, &'v Relation)>;
+
+/// One incremental maintenance pass over a single stratum. Every
+/// per-predicate table is indexed by predicate id.
 struct StratumPass<'a> {
-    program: &'a Program,
+    preds: &'a Preds,
+    rules: &'a [CompiledRule],
+    program_rules: &'a [Rule],
     info: &'a StratumInfo,
     base: &'a Instance,
     total: &'a mut Instance,
-    counts: &'a mut BTreeMap<RelName, CountedRelation>,
+    counts: &'a mut [Option<CountedRelation>],
     stats: &'a mut FixpointStats,
     /// Sequential-state views of changed *input* predicates: start at
     /// their old value, converge to the (already committed) new value
     /// as elementary steps execute.
-    views: BTreeMap<RelName, Relation>,
-    del_work: Worklist,
-    add_work: Worklist,
-    /// DRed over-deleted facts awaiting re-derivation.
-    overdeleted: Worklist,
-    /// Net set-level change of the stratum's predicates.
-    net: BTreeMap<RelName, Change>,
+    views: BTreeMap<usize, Relation>,
+    t: &'a mut PassTables,
 }
 
 impl StratumPass<'_> {
     fn run(
         &mut self,
-        changes: &BTreeMap<RelName, Change>,
-        seed_changes: &BTreeMap<RelName, Change>,
+        changes: &[Change],
+        seed_changes: &[(usize, Change)],
     ) -> Result<(), EvalError> {
         // Sequential-state views for the changed inputs we read.
-        let inputs: Vec<RelName> = changes
-            .iter()
-            .filter(|(p, c)| !c.is_empty() && self.info.reads.contains(*p))
-            .map(|(p, _)| p.clone())
+        let inputs: Vec<usize> = (0..changes.len())
+            .filter(|p| !changes[*p].is_empty() && self.info.reads.contains(p))
             .collect();
-        for p in &inputs {
-            let arity = self.total.schema().arity(p).ok_or_else(|| {
-                EvalError::Other(format!("changed input predicate `{p}` undeclared"))
-            })?;
+        for &p in &inputs {
             let mut old = self
                 .total
-                .relation_ref(p)
+                .relation_ref(&self.preds.names[p])
                 .cloned()
-                .unwrap_or_else(|| Relation::empty(arity));
-            let c = &changes[p];
-            for t in &c.added {
-                old.remove(t);
+                .unwrap_or_else(|| Relation::empty(self.preds.arity[p]));
+            for row in &changes[p].added {
+                old.remove_vids(row);
             }
-            for t in &c.removed {
-                old.insert(t.clone()).map_err(EvalError::Rel)?;
+            for row in &changes[p].removed {
+                old.insert_vids(row).map_err(EvalError::Rel)?;
             }
-            self.views.insert(p.clone(), old);
+            self.views.insert(p, old);
         }
 
         // ---- deletion phase (seeds, then inputs, then cascades) ----
         for (p, c) in seed_changes {
-            for t in &c.removed {
-                self.lose_seed(p, t)?;
+            for row in &c.removed {
+                self.lose_seed(*p, row)?;
             }
         }
-        for p in &inputs {
-            let removed = &changes[p].removed;
-            if removed.is_empty() {
-                continue;
+        for &p in &inputs {
+            if !changes[p].removed.is_empty() {
+                self.input_step(p, &changes[p].removed, StepDir::Remove)?;
+                self.handle_lost()?;
             }
-            let heads = self.input_step(p, removed, StepDir::Remove)?;
-            self.handle_lost(heads)?;
         }
-        while let Some((p, ts)) = pop_first(&mut self.del_work) {
-            let heads = self.stratum_step(&p, &ts, StepDir::Remove)?;
-            self.handle_lost(heads)?;
+        while let Some((p, rows)) = pop_first(&mut self.t.del_work, &self.info.preds) {
+            self.stratum_step(p, &rows, StepDir::Remove)?;
+            self.handle_lost()?;
         }
 
         // ---- DRed re-derivation (recursive strata only) ----
         self.rederive()?;
 
         // ---- insertion phase (inputs, seeds, then cascades) ----
-        for p in &inputs {
-            let added = &changes[p].added;
-            if added.is_empty() {
-                continue;
+        for &p in &inputs {
+            if !changes[p].added.is_empty() {
+                self.input_step(p, &changes[p].added, StepDir::Add)?;
+                self.handle_gained(false)?;
             }
-            let heads = self.input_step(p, added, StepDir::Add)?;
-            self.handle_gained(heads)?;
         }
         for (p, c) in seed_changes {
-            for t in &c.added {
-                self.gain_seed(p, t)?;
+            for row in &c.added {
+                self.gain_seed(*p, row)?;
             }
         }
-        while let Some((p, ts)) = pop_first(&mut self.add_work) {
-            let heads = self.stratum_step(&p, &ts, StepDir::Add)?;
-            self.handle_gained(heads)?;
-        }
+        self.add_cascade(false)?;
         self.views.clear();
+        self.flush_all()
+    }
+
+    /// Write predicate `q`'s pending edits to `total`.
+    fn flush(&mut self, q: usize) -> Result<(), EvalError> {
+        if self.t.pending[q].is_empty() {
+            return Ok(());
+        }
+        let edits = std::mem::take(&mut self.t.pending[q]);
+        let added = edits.iter().filter(|(_, &a)| a).map(|(r, _)| &**r);
+        let removed = edits.iter().filter(|(_, &a)| !a).map(|(r, _)| &**r);
+        self.total
+            .apply_vid_rows(&self.preds.names[q], added, removed)
+            .map_err(EvalError::Rel)
+    }
+
+    fn flush_all(&mut self) -> Result<(), EvalError> {
+        let info = self.info;
+        info.preds.iter().try_for_each(|&q| self.flush(q))
+    }
+
+    /// Bring every stored relation a step of `p` reads up to date —
+    /// including `p` itself when it needs pre/post versions.
+    fn flush_reads(&mut self, p: usize) -> Result<(), EvalError> {
+        let (info, rules) = (self.info, self.rules);
+        for &(ri, _) in &info.delta[p] {
+            for &q in &rules[ri].atom_preds {
+                if q != p || info.multi.contains(&p) {
+                    self.flush(q)?;
+                }
+            }
+        }
         Ok(())
     }
 
     /// Execute one elementary step of a changed *input* predicate: run
     /// the mixed expansion against the sequential views, then commit
     /// the step to the view.
-    fn input_step(
-        &mut self,
-        p: &RelName,
-        tuples: &BTreeSet<Tuple>,
-        dir: StepDir,
-    ) -> Result<HeadCounts, EvalError> {
-        let mut cur = self
-            .views
-            .remove(p)
-            .ok_or_else(|| EvalError::Other(format!("no view for changed input `{p}`")))?;
-        let pre_copy = self.info.multi.contains(p).then(|| cur.clone());
-        let delta_rel =
-            Relation::from_tuples(cur.arity(), tuples.iter().cloned()).map_err(EvalError::Rel)?;
+    fn input_step(&mut self, p: usize, rows: &[VidRow], dir: StepDir) -> Result<(), EvalError> {
+        self.flush_reads(p)?;
+        let mut cur = self.views.remove(&p).ok_or_else(|| {
+            EvalError::Other(format!(
+                "no view for changed input `{}`",
+                self.preds.names[p]
+            ))
+        })?;
+        let pre = self.info.multi.contains(&p).then(|| cur.clone());
         // Advance the view to the post-step state before the expansion:
         // `cur` plays "post", the copy plays "pre".
-        match dir {
-            StepDir::Remove => {
-                for t in tuples {
-                    cur.remove(t);
-                }
-            }
-            StepDir::Add => {
-                for t in tuples {
-                    cur.insert(t.clone()).map_err(EvalError::Rel)?;
-                }
-            }
-        }
-        // `pre_copy` was taken before the mutation, so it is the
-        // pre-step state in both directions; `cur` is the post state.
-        let versions = match &pre_copy {
-            Some(pre) => PinnedVersions::Both { pre, post: &cur },
-            None => PinnedVersions::Unneeded,
-        };
-        let mut heads = HeadCounts::new();
-        expansion(
-            self.program,
-            self.info,
-            p,
-            &delta_rel,
-            &versions,
-            &self.views,
-            self.total,
-            &mut heads,
-        )?;
-        self.views.insert(p.clone(), cur);
-        Ok(heads)
+        edit(&mut cur, rows, dir)?;
+        let mut heads = std::mem::take(&mut self.t.heads);
+        let res = self.expand(p, rows, pre.as_ref().map(|pre| (pre, &cur)), &mut heads);
+        self.t.heads = heads;
+        self.views.insert(p, cur);
+        self.stats.steps += 1;
+        res
     }
 
     /// Execute one elementary step of a *stratum* predicate (cascade),
     /// committing the step to `total` after the expansion.
-    fn stratum_step(
-        &mut self,
-        p: &RelName,
-        tuples: &BTreeSet<Tuple>,
-        dir: StepDir,
-    ) -> Result<HeadCounts, EvalError> {
-        let arity = self
-            .total
-            .schema()
-            .arity(p)
-            .ok_or_else(|| EvalError::Other(format!("stratum predicate `{p}` undeclared")))?;
-        let delta_rel =
-            Relation::from_tuples(arity, tuples.iter().cloned()).map_err(EvalError::Rel)?;
-        let empty = Relation::empty(arity);
-        let cur = self.total.relation_ref(p).unwrap_or(&empty);
-        // `cur` is the pre-step state (removals are still present,
-        // additions not yet inserted).
-        let post_copy = self.info.multi.contains(p).then(|| {
-            let mut c = cur.clone();
-            match dir {
-                StepDir::Remove => {
-                    for t in tuples {
-                        c.remove(t);
-                    }
-                }
-                StepDir::Add => {
-                    for t in tuples {
-                        c.insert(t.clone()).expect("tuple arity matches relation");
-                    }
-                }
+    fn stratum_step(&mut self, p: usize, rows: &[VidRow], dir: StepDir) -> Result<(), EvalError> {
+        self.flush_reads(p)?;
+        let name = &self.preds.names[p];
+        let empty = Relation::empty(self.preds.arity[p]);
+        // The stored relation is the pre-step state (removals still
+        // present, additions not yet inserted).
+        let post = match self.info.multi.contains(&p) {
+            true => {
+                let mut c = self.total.relation_ref(name).unwrap_or(&empty).clone();
+                edit(&mut c, rows, dir)?;
+                Some(c)
             }
-            c
-        });
-        let versions = match &post_copy {
-            Some(post) => PinnedVersions::Both { pre: cur, post },
-            None => PinnedVersions::Unneeded,
+            false => None,
         };
-        let mut heads = HeadCounts::new();
-        expansion(
-            self.program,
-            self.info,
-            p,
-            &delta_rel,
-            &versions,
-            &self.views,
-            self.total,
-            &mut heads,
-        )?;
+        let mut heads = std::mem::take(&mut self.t.heads);
+        let cur = self.total.relation_ref(name).unwrap_or(&empty);
+        let res = self.expand(p, rows, post.as_ref().map(|post| (cur, post)), &mut heads);
+        self.t.heads = heads;
+        res?;
+        self.stats.steps += 1;
         // Commit the step.
-        match post_copy {
+        match post {
             Some(post) => self
                 .total
-                .set_relation(p.clone(), post)
+                .set_relation(name.clone(), post)
                 .map_err(EvalError::Rel)?,
-            None => match dir {
-                StepDir::Remove => {
-                    for t in tuples {
-                        self.total.remove_fact(&Fact::new(p.clone(), t.clone()));
+            None => {
+                let add = dir == StepDir::Add;
+                for row in rows {
+                    // An edit cancelling a pending one leaves `total` as is.
+                    if self.t.pending[p].get(row) == Some(&!add) {
+                        self.t.pending[p].remove(row);
+                    } else {
+                        self.t.pending[p].insert(row.clone(), add);
                     }
                 }
-                StepDir::Add => {
-                    for t in tuples {
-                        self.total
-                            .insert_fact(Fact::new(p.clone(), t.clone()))
-                            .map_err(EvalError::Rel)?;
-                    }
-                }
-            },
-        }
-        Ok(heads)
-    }
-
-    /// A stratum fact lost its seed support.
-    fn lose_seed(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        if self.info.recursive {
-            self.overdelete(p, t)?;
-        } else {
-            let c = count_table(self.counts, p)?;
-            if c.sub(t, 1).map_err(EvalError::Rel)? {
-                self.retract(p, t);
             }
         }
         Ok(())
     }
 
+    /// The mixed semi-naive expansion for one elementary step of
+    /// predicate `p` with batch `rows`: for every (rule, occurrence `i`)
+    /// of `p` in the delta-plan table, join `new₁ … newᵢ₋₁ Δᵢ oldᵢ₊₁ …
+    /// oldₙ` (other predicates at their current sequential state) and
+    /// add the resulting firings per head row to `heads`. Each
+    /// gained/lost firing of the step is counted exactly once.
+    fn expand(
+        &self,
+        p: usize,
+        rows: &[VidRow],
+        versions: Versions<'_>,
+        heads: &mut [HashMap<VidRow, u64>],
+    ) -> Result<(), EvalError> {
+        let plans = &self.info.delta[p];
+        if rows.is_empty() || plans.is_empty() {
+            return Ok(());
+        }
+        let arity = self.preds.arity[p];
+        let mut delta_rel: Option<Relation> = None;
+        'plans: for &(ri, i) in plans {
+            let cr = &self.rules[ri];
+            let mut srcs: Vec<Option<&Relation>> = Vec::with_capacity(cr.atom_preds.len());
+            for (j, &q) in cr.atom_preds.iter().enumerate() {
+                let r = if j == i {
+                    None
+                } else if q == p {
+                    let (pre, post) = versions.ok_or_else(|| {
+                        EvalError::Other(format!(
+                            "expansion of `{}` needs pre/post versions",
+                            self.preds.names[p]
+                        ))
+                    })?;
+                    Some(if j < i { post } else { pre })
+                } else {
+                    match self.source(q) {
+                        Some(r) => Some(r),
+                        None => continue 'plans,
+                    }
+                };
+                if r.is_some_and(Relation::is_empty) {
+                    continue 'plans;
+                }
+                srcs.push(r);
+            }
+            let plan = &cr.pinned[i];
+            let slot = &mut heads[cr.head];
+            let negs = neg_runs(plan, self.total, self.preds);
+            if let (Some(runs), Some(negs)) = (columnar(srcs.iter().copied()), negs) {
+                plan.execute(Start::Delta(rows), &runs, &negs, &mut |row| {
+                    bump(slot, row, 1)
+                });
+                continue;
+            }
+            // Generic path (the btree oracle): the same plan over
+            // `Bindings`.
+            let delta_rel = match &mut delta_rel {
+                Some(d) => &*d,
+                None => delta_rel.insert(
+                    Relation::from_tuples(arity, rows.iter().map(|r| row_tuple(r)))
+                        .map_err(EvalError::Rel)?,
+                ),
+            };
+            let rels: Vec<&Relation> = srcs.iter().map(|s| s.unwrap_or(delta_rel)).collect();
+            generic_fire(
+                &self.program_rules[ri],
+                &plan.order,
+                &rels,
+                Bindings::new(),
+                self.total,
+                |t| bump(slot, &vid_row(t), 1),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Source relation for a predicate: the sequential view when the
+    /// predicate changed this pass, else the materialized database.
+    fn source(&self, p: usize) -> Option<&Relation> {
+        match self.views.get(&p) {
+            Some(v) => Some(v),
+            None => self.total.relation_ref(&self.preds.names[p]),
+        }
+    }
+
+    fn count_table(&mut self, p: usize) -> Result<&mut CountedRelation, EvalError> {
+        let name = &self.preds.names[p];
+        self.counts[p]
+            .as_mut()
+            .ok_or_else(|| EvalError::Other(format!("no count table for IDB `{name}`")))
+    }
+
+    /// A stratum fact lost its seed support.
+    fn lose_seed(&mut self, p: usize, row: &[Vid]) -> Result<(), EvalError> {
+        if self.info.recursive {
+            self.overdelete(p, row)
+        } else {
+            if self.count_table(p)?.sub(row, 1).map_err(EvalError::Rel)? {
+                self.retract(p, row);
+            }
+            Ok(())
+        }
+    }
+
     /// A stratum fact gained seed support.
-    fn gain_seed(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        let c = count_table(self.counts, p)?;
-        if c.add(t.clone(), 1).map_err(EvalError::Rel)? {
-            self.add_work
-                .entry(p.clone())
-                .or_default()
-                .insert(t.clone());
-            net_add(&mut self.net, p, t);
+    fn gain_seed(&mut self, p: usize, row: &[Vid]) -> Result<(), EvalError> {
+        if self.count_table(p)?.add(row, 1).map_err(EvalError::Rel)? {
+            self.t.add_work[p].push(row.into());
+            net_add(&mut self.t.net[p], row);
         }
         Ok(())
     }
 
     /// Process the lost firings of one elementary removal step.
-    fn handle_lost(&mut self, heads: HeadCounts) -> Result<(), EvalError> {
-        for (p, tuples) in heads {
-            for (t, lost) in tuples {
-                if self.info.recursive {
-                    self.overdelete(&p, &t)?;
-                } else {
-                    let c = count_table(self.counts, &p)?;
-                    if c.sub(&t, lost).map_err(EvalError::Rel)? {
-                        self.retract(&p, &t);
+    fn handle_lost(&mut self) -> Result<(), EvalError> {
+        let mut heads = std::mem::take(&mut self.t.heads);
+        let res = (|| {
+            let info = self.info;
+            for &p in &info.preds {
+                for (row, lost) in heads[p].drain() {
+                    if self.info.recursive {
+                        self.overdelete(p, &row)?;
+                    } else if self
+                        .count_table(p)?
+                        .sub(&row, lost)
+                        .map_err(EvalError::Rel)?
+                    {
+                        self.retract(p, &row);
                     }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })();
+        self.t.heads = heads;
+        res
     }
 
-    /// Process the gained firings of one elementary addition step.
-    fn handle_gained(&mut self, heads: HeadCounts) -> Result<(), EvalError> {
-        for (p, tuples) in heads {
-            for (t, gained) in tuples {
-                let c = count_table(self.counts, &p)?;
-                if c.add(t.clone(), gained).map_err(EvalError::Rel)? {
-                    self.add_work
-                        .entry(p.clone())
-                        .or_default()
-                        .insert(t.clone());
-                    net_add(&mut self.net, &p, &t);
+    /// Process the gained firings of one elementary addition step. A
+    /// fact that becomes present while `rederiving` must be one the
+    /// deletion phase over-deleted: re-derivation only ever puts back
+    /// facts of the pre-deletion database.
+    fn handle_gained(&mut self, rederiving: bool) -> Result<(), EvalError> {
+        let mut heads = std::mem::take(&mut self.t.heads);
+        let res = (|| {
+            let info = self.info;
+            for &p in &info.preds {
+                for (row, gained) in heads[p].drain() {
+                    if !self
+                        .count_table(p)?
+                        .add(&row, gained)
+                        .map_err(EvalError::Rel)?
+                    {
+                        continue;
+                    }
+                    if rederiving {
+                        if !self.t.overdeleted[p].remove(&row) {
+                            return Err(EvalError::Other(
+                                "DRed re-derivation produced a fact absent from the \
+                                 pre-deletion database"
+                                    .into(),
+                            ));
+                        }
+                        self.stats.facts_rederived += 1;
+                    }
+                    net_add(&mut self.t.net[p], &row);
+                    self.t.add_work[p].push(row);
                 }
             }
+            Ok(())
+        })();
+        self.t.heads = heads;
+        res
+    }
+
+    /// Run addition batches until the worklist drains.
+    fn add_cascade(&mut self, rederiving: bool) -> Result<(), EvalError> {
+        while let Some((p, rows)) = pop_first(&mut self.t.add_work, &self.info.preds) {
+            self.stratum_step(p, &rows, StepDir::Add)?;
+            self.handle_gained(rederiving)?;
         }
         Ok(())
     }
@@ -765,211 +1187,173 @@ impl StratumPass<'_> {
     /// DRed over-deletion: a recursive-stratum fact that lost *any*
     /// derivation is retracted outright; re-derivation puts survivors
     /// back.
-    fn overdelete(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        let d = self.overdeleted.entry(p.clone()).or_default();
-        if !d.insert(t.clone()) {
+    fn overdelete(&mut self, p: usize, row: &[Vid]) -> Result<(), EvalError> {
+        if self.t.overdeleted[p].contains(row) {
             return Ok(()); // already over-deleted this pass
         }
-        count_table(self.counts, p)?.clear_tuple(t);
-        self.retract(p, t);
+        self.t.overdeleted[p].insert(row.into());
+        self.count_table(p)?.clear_row(row);
+        self.retract(p, row);
         Ok(())
     }
 
     /// Record a retraction: enqueue the cascade batch and track the net
     /// change. (The `total` commit happens when the batch pops.)
-    fn retract(&mut self, p: &RelName, t: &Tuple) {
-        self.del_work
-            .entry(p.clone())
-            .or_default()
-            .insert(t.clone());
-        net_remove(&mut self.net, p, t);
+    fn retract(&mut self, p: usize, row: &[Vid]) {
+        self.t.del_work[p].push(row.into());
+        net_remove(&mut self.t.net[p], row);
         self.stats.facts_retracted += 1;
     }
 
-    /// DRed re-derivation: repeatedly scan the over-deleted facts for
-    /// ones still derivable from the surviving database (seed support
-    /// plus a backward join), re-insert them with their exact recounted
-    /// support, and propagate the gained firings — until a pass makes
-    /// no progress. Whatever remains over-deleted is gone for good.
+    /// DRed re-derivation. Every over-deleted fact is recounted once —
+    /// seed support plus a backward join — and all recounts see the
+    /// same surviving database, because nothing is put back until they
+    /// are done. The facts with support re-enter with exactly that
+    /// count and cascade through the insertion worklist: each firing a
+    /// re-entered fact adds is counted once by its pinned expansion,
+    /// and an over-deleted fact that gains one re-enters in turn.
+    /// Whatever stays over-deleted is gone for good.
     fn rederive(&mut self) -> Result<(), EvalError> {
-        if self.overdeleted.values().all(BTreeSet::is_empty) {
+        let preds = &self.info.preds;
+        if preds.iter().all(|&p| self.t.overdeleted[p].is_empty()) {
             return Ok(());
         }
-        loop {
-            let mut progress = false;
-            let snapshot: Vec<(RelName, Vec<Tuple>)> = self
-                .overdeleted
-                .iter()
-                .map(|(p, ts)| (p.clone(), ts.iter().cloned().collect()))
-                .collect();
-            for (p, ts) in snapshot {
-                for t in ts {
-                    let mut c =
-                        u64::from(self.base.contains_fact(&Fact::new(p.clone(), t.clone())));
-                    c += self.backward_count(&p, &t)?;
-                    if c == 0 {
-                        continue;
-                    }
-                    self.overdeleted
-                        .get_mut(&p)
-                        .expect("snapshot key present")
-                        .remove(&t);
-                    count_table(self.counts, &p)?
-                        .add(t.clone(), c)
-                        .map_err(EvalError::Rel)?;
-                    self.total
-                        .insert_fact(Fact::new(p.clone(), t.clone()))
-                        .map_err(EvalError::Rel)?;
-                    net_add(&mut self.net, &p, &t);
-                    self.stats.facts_rederived += 1;
-                    self.propagate_rederived(&p, &t)?;
-                    progress = true;
-                }
-            }
-            if !progress {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Count the firings deriving `(p, t)` over the current database by
-    /// unifying each rule head with `t` and joining the body forward.
-    fn backward_count(&self, p: &RelName, t: &Tuple) -> Result<u64, EvalError> {
-        let mut n = 0u64;
-        for &ri in &self.info.rules {
-            let rule = &self.program.rules()[ri];
-            if rule.head().pred != *p {
-                continue;
-            }
-            let Some(env0) = rule.head().match_tuple(t, &Bindings::new()) else {
-                continue;
-            };
-            let atoms = positive_atoms(rule);
-            let mut envs = vec![env0];
-            if !atoms.is_empty() {
-                let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
-                let mut dead = false;
-                for a in &atoms {
-                    match self.source(&a.pred) {
-                        Some(r) if !r.is_empty() => srcs.push(r),
-                        _ => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-                if dead {
-                    continue;
-                }
-                for &k in &plan_order(&atoms, None) {
-                    envs = atoms[k].join_indexed(srcs[k], &envs);
-                    if envs.is_empty() {
-                        break;
-                    }
-                }
-            }
-            for env in &envs {
-                if passes_filters(rule, env, self.total)? {
-                    n += 1;
+        self.flush_all()?;
+        let mut found: Vec<(usize, VidRow, u64)> = Vec::new();
+        let mut recounts = 0u64;
+        for &p in preds {
+            for row in &self.t.overdeleted[p] {
+                recounts += 1;
+                let seeded = self.base.contains_vids(&self.preds.names[p], row);
+                let c = u64::from(seeded) + self.backward_count(p, row)?;
+                if c > 0 {
+                    found.push((p, row.clone(), c));
                 }
             }
         }
-        Ok(n)
-    }
-
-    /// Propagate the firings gained by re-inserting `(p, t)`: pinned
-    /// expansion with Δ = {t}. Heads still over-deleted are skipped —
-    /// their own backward recount (which now sees `t`) will include
-    /// these firings.
-    fn propagate_rederived(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        let arity = t.arity();
-        let delta_rel = Relation::from_tuples(arity, [t.clone()]).map_err(EvalError::Rel)?;
-        let empty = Relation::empty(arity);
-        let cur = self.total.relation_ref(p).unwrap_or(&empty);
-        // `t` is already committed: `cur` is the post-step state.
-        let pre_copy = self.info.multi.contains(p).then(|| {
-            let mut c = cur.clone();
-            c.remove(t);
-            c
-        });
-        let versions = match &pre_copy {
-            Some(pre) => PinnedVersions::Both { pre, post: cur },
-            None => PinnedVersions::Unneeded,
-        };
-        let mut heads = HeadCounts::new();
-        expansion(
-            self.program,
-            self.info,
-            p,
-            &delta_rel,
-            &versions,
-            &self.views,
-            self.total,
-            &mut heads,
-        )?;
-        for (hp, tuples) in heads {
-            for (ht, k) in tuples {
-                if self.overdeleted.get(&hp).is_some_and(|d| d.contains(&ht)) {
-                    continue;
-                }
-                let c = count_table(self.counts, &hp)?;
-                if c.add(ht, k).map_err(EvalError::Rel)? {
-                    return Err(EvalError::Other(
-                        "DRed re-derivation produced a fact absent from the pre-deletion database"
-                            .into(),
-                    ));
-                }
-            }
+        self.stats.backward_counts += recounts;
+        for (p, row, c) in found {
+            self.t.overdeleted[p].remove(&row);
+            self.count_table(p)?.add(&row, c).map_err(EvalError::Rel)?;
+            self.stats.facts_rederived += 1;
+            net_add(&mut self.t.net[p], &row);
+            self.t.add_work[p].push(row);
+        }
+        self.add_cascade(true)?;
+        for &p in &self.info.preds {
+            self.t.overdeleted[p].clear();
         }
         Ok(())
     }
 
-    /// Source relation for a predicate: the sequential view when the
-    /// predicate changed this pass, else the materialized database.
-    fn source(&self, p: &RelName) -> Option<&Relation> {
-        match self.views.get(p) {
-            Some(v) => Some(v),
-            None => self.total.relation_ref(p),
+    /// Count the firings deriving `(p, row)` over the current database:
+    /// each rule with head `p` runs its backward plan from the head's
+    /// variables as bound by `row`.
+    fn backward_count(&self, p: usize, row: &[Vid]) -> Result<u64, EvalError> {
+        let mut n = 0u64;
+        'rules: for &ri in &self.info.rules {
+            let cr = &self.rules[ri];
+            if cr.head != p {
+                continue;
+            }
+            let mut srcs: Vec<&Relation> = Vec::with_capacity(cr.atom_preds.len());
+            for &q in &cr.atom_preds {
+                match self.source(q) {
+                    Some(r) if !r.is_empty() => srcs.push(r),
+                    _ => continue 'rules,
+                }
+            }
+            let runs = columnar(srcs.iter().copied().map(Some));
+            let negs = neg_runs(&cr.backward, self.total, self.preds);
+            if let (Some(runs), Some(negs)) = (runs, negs) {
+                let start = Start::Head(&cr.head_slots, row);
+                cr.backward.execute(start, &runs, &negs, &mut |_| n += 1);
+                continue;
+            }
+            let rule = &self.program_rules[ri];
+            let Some(env0) = rule.head().match_tuple(&row_tuple(row), &Bindings::new()) else {
+                continue;
+            };
+            generic_fire(rule, &cr.backward.order, &srcs, env0, self.total, |_| {
+                n += 1
+            })?;
+        }
+        Ok(n)
+    }
+}
+
+/// Apply a batch of point edits to a relation.
+fn edit(rel: &mut Relation, rows: &[VidRow], dir: StepDir) -> Result<(), EvalError> {
+    for row in rows {
+        match dir {
+            StepDir::Remove => {
+                rel.remove_vids(row);
+            }
+            StepDir::Add => {
+                rel.insert_vids(row).map_err(EvalError::Rel)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Take the pending batch of the lowest-numbered predicate of `preds`
+/// (ascending).
+fn pop_first(work: &mut [Vec<VidRow>], preds: &[usize]) -> Option<(usize, Vec<VidRow>)> {
+    let p = preds.iter().copied().find(|&p| !work[p].is_empty())?;
+    Some((p, std::mem::take(&mut work[p])))
+}
+
+/// Add `k` firings of `row` to a head-count table.
+fn bump(counts: &mut HashMap<VidRow, u64>, row: &[Vid], k: u64) {
+    match counts.get_mut(row) {
+        Some(c) => *c += k,
+        None => {
+            counts.insert(row.into(), k);
         }
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StepDir {
-    Remove,
-    Add,
-}
-
-fn pop_first(work: &mut Worklist) -> Option<(RelName, BTreeSet<Tuple>)> {
-    let p = work.keys().next()?.clone();
-    let ts = work.remove(&p)?;
-    if ts.is_empty() {
-        return pop_first(work);
-    }
-    Some((p, ts))
-}
-
-fn count_table<'a>(
-    counts: &'a mut BTreeMap<RelName, CountedRelation>,
-    p: &RelName,
-) -> Result<&'a mut CountedRelation, EvalError> {
-    counts
-        .get_mut(p)
-        .ok_or_else(|| EvalError::Other(format!("no count table for IDB `{p}`")))
-}
-
-fn net_add(net: &mut BTreeMap<RelName, Change>, p: &RelName, t: &Tuple) {
-    let c = net.entry(p.clone()).or_default();
-    if !c.removed.remove(t) {
-        c.added.insert(t.clone());
+fn net_add(net: &mut HashMap<VidRow, bool>, row: &[Vid]) {
+    if net.get(row) == Some(&false) {
+        net.remove(row);
+    } else {
+        net.insert(row.into(), true);
     }
 }
 
-fn net_remove(net: &mut BTreeMap<RelName, Change>, p: &RelName, t: &Tuple) {
-    let c = net.entry(p.clone()).or_default();
-    if !c.added.remove(t) {
-        c.removed.insert(t.clone());
+fn net_remove(net: &mut HashMap<VidRow, bool>, row: &[Vid]) {
+    if net.get(row) == Some(&true) {
+        net.remove(row);
+    } else {
+        net.insert(row.into(), false);
     }
+}
+
+/// The sorted runs of a plan's sources (`None` passes through: the
+/// atom Δ covers), or `None` when some source is not run-backed.
+fn columnar<'r>(
+    srcs: impl IntoIterator<Item = Option<&'r Relation>>,
+) -> Option<Vec<Option<Arc<Run>>>> {
+    srcs.into_iter()
+        .map(|s| match s {
+            None => Some(None),
+            Some(r) => r.columnar_run().map(Some),
+        })
+        .collect()
+}
+
+/// The runs of a plan's negated atoms in `db` (a missing relation
+/// filters nothing: an empty run), or `None` when one is not
+/// run-backed.
+fn neg_runs(plan: &JoinPlan, db: &Instance, preds: &Preds) -> Option<Vec<Arc<Run>>> {
+    plan.negs
+        .iter()
+        .map(|&(q, _)| match db.relation_ref(&preds.names[q]) {
+            None => Some(Arc::new(Run::empty(preds.arity[q]))),
+            Some(r) => r.columnar_run(),
+        })
+        .collect()
 }
 
 fn positive_atoms(rule: &Rule) -> Vec<&Atom> {
@@ -1010,14 +1394,27 @@ fn passes_filters(rule: &Rule, env: &Bindings, neg_db: &Instance) -> Result<bool
     Ok(true)
 }
 
-/// Accumulate the head-tuple counts of the surviving bindings.
-fn collect_heads(
+/// The generic `Bindings` executor behind every compiled plan — what
+/// runs when a source is not run-backed (the btree storage oracle):
+/// join the positive atoms (`srcs`, by atom) in `order` from `env0`,
+/// filter, and hand every firing's head tuple to `emit`.
+fn generic_fire(
     rule: &Rule,
-    envs: &[Bindings],
+    order: &[usize],
+    srcs: &[&Relation],
+    env0: Bindings,
     neg_db: &Instance,
-    out: &mut HeadCounts,
+    mut emit: impl FnMut(&Tuple),
 ) -> Result<(), EvalError> {
-    for env in envs {
+    let atoms = positive_atoms(rule);
+    let mut envs = vec![env0];
+    for &k in order {
+        envs = atoms[k].join_indexed(srcs[k], &envs);
+        if envs.is_empty() {
+            return Ok(());
+        }
+    }
+    for env in &envs {
         if !passes_filters(rule, env, neg_db)? {
             continue;
         }
@@ -1027,223 +1424,72 @@ fn collect_heads(
             .ok_or_else(|| EvalError::Unsafe {
                 reason: "head unbound".into(),
             })?;
-        *out.entry(rule.head().pred.clone())
-            .or_default()
-            .entry(t)
-            .or_insert(0) += 1;
+        emit(&t);
     }
     Ok(())
 }
 
-/// Build support counts from scratch for the heads of `rules` over
-/// `db`: every rule firing plus +1 seed support per base fact of
-/// `preds`. The single source of truth for both initialization and
-/// negation-triggered stratum rebuilds — the two paths must count
-/// identically or the bookkeeping drifts into `NegativeSupport`.
+/// Build support counts from scratch for the heads of the rules
+/// `which` over `db`: every rule firing plus +1 seed support per base
+/// fact of `seeded`. The single source of truth for both
+/// initialization and negation-triggered stratum rebuilds — the two
+/// paths must count identically or the bookkeeping drifts into
+/// `NegativeSupport`.
+#[allow(clippy::too_many_arguments)]
 fn recount_into(
-    rules: &[Rule],
+    program_rules: &[Rule],
+    rules: &[CompiledRule],
+    which: &[usize],
+    preds: &Preds,
     db: &Instance,
     base: &Instance,
-    preds: &BTreeSet<RelName>,
-    counts: &mut BTreeMap<RelName, CountedRelation>,
+    seeded: &[usize],
+    counts: &mut [Option<CountedRelation>],
 ) -> Result<(), EvalError> {
-    let mut heads = HeadCounts::new();
-    for r in rules {
-        count_rule_firings(r, db, &mut heads)?;
-    }
-    for (p, tuples) in heads {
-        let c = count_table(counts, &p)?;
-        for (t, k) in tuples {
-            c.add(t, k).map_err(EvalError::Rel)?;
-        }
-    }
-    for f in base.facts() {
-        if preds.contains(f.rel()) {
-            count_table(counts, f.rel())?
-                .add(f.tuple().clone(), 1)
-                .map_err(EvalError::Rel)?;
-        }
-    }
-    Ok(())
-}
-
-/// Count every firing of `rule` over `db` (initialization / rebuild).
-fn count_rule_firings(rule: &Rule, db: &Instance, out: &mut HeadCounts) -> Result<(), EvalError> {
-    let atoms = positive_atoms(rule);
-    let mut envs = vec![Bindings::new()];
-    if !atoms.is_empty() {
-        let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
-        for a in &atoms {
-            match db.relation_ref(&a.pred) {
+    let mut heads: Vec<HashMap<VidRow, u64>> = vec![HashMap::new(); preds.len()];
+    'rules: for &ri in which {
+        let cr = &rules[ri];
+        let mut srcs: Vec<&Relation> = Vec::with_capacity(cr.atom_preds.len());
+        for &q in &cr.atom_preds {
+            match db.relation_ref(&preds.names[q]) {
                 Some(r) if !r.is_empty() => srcs.push(r),
-                _ => return Ok(()), // some body relation is empty
+                _ => continue 'rules, // some body relation is empty
             }
         }
-        if frame_count(rule, &atoms, &srcs, None, db, out)? {
-            return Ok(());
-        }
-        for &k in &plan_order(&atoms, None) {
-            envs = atoms[k].join_indexed(srcs[k], &envs);
-            if envs.is_empty() {
-                return Ok(());
-            }
-        }
-    }
-    collect_heads(rule, &envs, db, out)
-}
-
-/// Columnar fast path shared by [`expansion`] and
-/// [`count_rule_firings`]: join the positive atoms directly over their
-/// sorted runs with the [`Frame`] executor (probing run ranges, never
-/// materializing a `Tuple` or `Bindings` per candidate), apply the
-/// rule's negation / nonequality filters column-wise, and count the
-/// surviving firings per head tuple. Returns `Ok(false)` when any
-/// source (or negated relation) is not columnar — the caller falls
-/// back to the generic `Bindings` path, which is exactly what the
-/// `RTX_STORAGE=btree` oracle forces.
-fn frame_count(
-    rule: &Rule,
-    atoms: &[&Atom],
-    srcs: &[&Relation],
-    pinned: Option<usize>,
-    neg_db: &Instance,
-    out: &mut HeadCounts,
-) -> Result<bool, EvalError> {
-    let mut runs: Vec<Arc<Run>> = Vec::with_capacity(srcs.len());
-    for r in srcs {
-        match r.columnar_run() {
-            Some(run) => runs.push(run),
-            None => return Ok(false),
-        }
-    }
-    // Negated relations must be columnar too (a missing one filters
-    // nothing, modeled as an empty run so unbound-variable errors stay
-    // identical to the generic path).
-    let mut negs: Vec<(&Atom, Arc<Run>)> = Vec::new();
-    for l in rule.body() {
-        if let Literal::Neg(a) = l {
-            match neg_db.relation_ref(&a.pred) {
-                None => negs.push((a, Arc::new(Run::empty(a.terms.len())))),
-                Some(rel) => match rel.columnar_run() {
-                    Some(run) => negs.push((a, run)),
-                    None => return Ok(false),
-                },
-            }
-        }
-    }
-    let mut frame = Frame::unit();
-    for &k in &plan_order(atoms, pinned) {
-        frame = frame.join_atom(atoms[k], &runs[k], true);
-        if frame.is_empty() {
-            return Ok(true);
-        }
-    }
-    for l in rule.body() {
-        if let Literal::Diseq(x, y) = l {
-            frame.retain_diseq(x, y)?;
-        }
-    }
-    for (a, run) in &negs {
-        frame.retain_not_in(a, run)?;
-    }
-    if frame.is_empty() {
-        return Ok(true);
-    }
-    let head = rule.head();
-    let slot = out.entry(head.pred.clone()).or_default();
-    for (t, k) in frame.project_counts(&head.terms)? {
-        *slot.entry(t).or_insert(0) += k;
-    }
-    Ok(true)
-}
-
-/// The mixed semi-naive expansion for one elementary step of predicate
-/// `pinned`: for every rule of the stratum and every occurrence `i` of
-/// `pinned` in its body, join `new₁ … newᵢ₋₁ Δᵢ oldᵢ₊₁ … oldₙ` (other
-/// predicates at their current sequential state) and count the
-/// resulting firings per head tuple. Each gained/lost firing of the
-/// step is counted exactly once.
-#[allow(clippy::too_many_arguments)]
-fn expansion(
-    program: &Program,
-    info: &StratumInfo,
-    pinned: &RelName,
-    delta_rel: &Relation,
-    versions: &PinnedVersions<'_>,
-    views: &BTreeMap<RelName, Relation>,
-    total: &Instance,
-    out: &mut HeadCounts,
-) -> Result<(), EvalError> {
-    if delta_rel.is_empty() {
-        return Ok(());
-    }
-    for &ri in &info.rules {
-        let rule = &program.rules()[ri];
-        let atoms = positive_atoms(rule);
-        let occs: Vec<usize> = atoms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.pred == *pinned)
-            .map(|(i, _)| i)
-            .collect();
-        if occs.is_empty() {
+        let slot = &mut heads[cr.head];
+        let runs = columnar(srcs.iter().copied().map(Some));
+        if let (Some(runs), Some(negs)) = (runs, neg_runs(&cr.full, db, preds)) {
+            cr.full
+                .execute(Start::Unit, &runs, &negs, &mut |row| bump(slot, row, 1));
             continue;
         }
-        for &i in &occs {
-            let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
-            let mut dead = false;
-            for (j, a) in atoms.iter().enumerate() {
-                let r: &Relation = if j == i {
-                    delta_rel
-                } else if a.pred == *pinned {
-                    match versions {
-                        PinnedVersions::Both { pre, post } => {
-                            if j < i {
-                                post
-                            } else {
-                                pre
-                            }
-                        }
-                        PinnedVersions::Unneeded => {
-                            return Err(EvalError::Other(format!(
-                                "expansion of `{pinned}` needs pre/post versions"
-                            )))
-                        }
-                    }
-                } else if let Some(v) = views.get(&a.pred) {
-                    v
-                } else {
-                    match total.relation_ref(&a.pred) {
-                        Some(r) => r,
-                        None => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                };
-                if r.is_empty() {
-                    dead = true;
-                    break;
-                }
-                srcs.push(r);
-            }
-            if dead {
-                continue;
-            }
-            if frame_count(rule, &atoms, &srcs, Some(i), total, out)? {
-                continue;
-            }
-            let mut envs = vec![Bindings::new()];
-            for &k in &plan_order(&atoms, Some(i)) {
-                envs = atoms[k].join_indexed(srcs[k], &envs);
-                if envs.is_empty() {
-                    break;
-                }
-            }
-            if envs.is_empty() {
-                continue;
-            }
-            collect_heads(rule, &envs, total, out)?;
+        generic_fire(
+            &program_rules[ri],
+            &cr.full.order,
+            &srcs,
+            Bindings::new(),
+            db,
+            |t| bump(slot, &vid_row(t), 1),
+        )?;
+    }
+    let missing =
+        |p: usize| EvalError::Other(format!("no count table for IDB `{}`", preds.names[p]));
+    for (p, rows) in heads.into_iter().enumerate() {
+        if rows.is_empty() {
+            continue;
+        }
+        let c = counts[p].as_mut().ok_or_else(|| missing(p))?;
+        for (row, k) in rows {
+            c.add(&row, k).map_err(EvalError::Rel)?;
+        }
+    }
+    for &p in seeded {
+        let Some(rel) = base.relation_ref(&preds.names[p]) else {
+            continue;
+        };
+        let c = counts[p].as_mut().ok_or_else(|| missing(p))?;
+        for t in rel.iter() {
+            c.add(&vid_row(t), 1).map_err(EvalError::Rel)?;
         }
     }
     Ok(())
@@ -1253,7 +1499,7 @@ fn expansion(
 mod tests {
     use super::*;
     use crate::atom;
-    use rtx_relational::{fact, Schema};
+    use rtx_relational::{fact, Fact, Schema};
 
     fn rule(head: Atom, body: Vec<Literal>) -> Rule {
         Rule::new(head, body).unwrap()

@@ -38,10 +38,20 @@ pub enum JoinMode {
 /// ties toward fewer unbound variables and then original position, so
 /// the plan is deterministic.
 pub fn plan_order(atoms: &[&Atom], pinned: Option<usize>) -> Vec<usize> {
+    plan_order_bound(atoms, pinned, BTreeSet::new())
+}
+
+/// [`plan_order`] with some variables bound before the first atom —
+/// e.g. the head variables of a backward (head-to-body) recount, so
+/// the first atom joined is the one the head tuple constrains most.
+pub fn plan_order_bound(
+    atoms: &[&Atom],
+    pinned: Option<usize>,
+    mut bound: BTreeSet<Var>,
+) -> Vec<usize> {
     let n = atoms.len();
     let mut order = Vec::with_capacity(n);
     let mut used = vec![false; n];
-    let mut bound: BTreeSet<Var> = BTreeSet::new();
     let bind = |a: &Atom, bound: &mut BTreeSet<Var>| {
         for v in a.vars() {
             bound.insert(v);
@@ -154,6 +164,17 @@ mod tests {
         let c = atom!("S"; @"X");
         let order = plan_order(&[&a, &b, &c], Some(0));
         assert_eq!(order, vec![0, 2, 1]);
+    }
+
+    #[test]
+    fn pre_bound_variables_steer_the_plan() {
+        // R(X,Y), E(Y,Z): unbound, R goes first by position; with Z
+        // bound (a recount of a head over Z), E is the better start.
+        let a = atom!("R"; @"X", @"Y");
+        let b = atom!("E"; @"Y", @"Z");
+        assert_eq!(plan_order(&[&a, &b], None), vec![0, 1]);
+        let bound: BTreeSet<Var> = [Var::new("Z")].into_iter().collect();
+        assert_eq!(plan_order_bound(&[&a, &b], None, bound), vec![1, 0]);
     }
 
     #[test]

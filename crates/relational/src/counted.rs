@@ -1,29 +1,49 @@
-//! Relations with per-tuple derivation counts.
+//! Relations with per-tuple derivation counts, in the interned-id
+//! domain.
 //!
 //! Incremental Datalog maintenance (counting-based DRed) needs to know
 //! not just *whether* a fact holds but *how many* derivations currently
 //! support it: retracting one derivation of a doubly-supported fact must
 //! leave the fact in place, while retracting the last one deletes it.
 //! A [`CountedRelation`] is that bookkeeping structure — a finite map
-//! from tuples to positive support counts, with ± delta application.
+//! from rows of interned value ids ([`Vid`]) to positive support
+//! counts. Keying by id rows instead of [`crate::Tuple`]s lets the
+//! maintenance engine go from a columnar join's output to a count
+//! update without decoding a single value.
+//! The table keeps the standard randomly seeded hasher, since the ids
+//! come from user data.
 
 use crate::error::RelError;
 use crate::fact::Tuple;
+use crate::intern::Vid;
 use crate::relation::Relation;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
-/// A `k`-ary relation where every tuple carries a positive support
+/// One tuple as a row of interned value ids.
+pub type VidRow = Box<[Vid]>;
+
+/// Encode a tuple as an id row.
+pub fn vid_row(t: &Tuple) -> VidRow {
+    t.values().iter().map(Vid::from_value).collect()
+}
+
+/// Decode an id row back into a tuple.
+pub fn row_tuple(row: &[Vid]) -> Tuple {
+    row.iter().map(|v| v.value()).collect()
+}
+
+/// A `k`-ary relation where every row carries a positive support
 /// count (number of derivations currently justifying it).
 ///
-/// The *set* view of a counted relation is its key set: a tuple is
+/// The *set* view of a counted relation is its key set: a row is
 /// "present" iff its count is ≥ 1. Counts never go negative —
 /// over-subtracting is reported as an error, since it means the
 /// maintenance bookkeeping lost a derivation.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CountedRelation {
     arity: usize,
-    counts: BTreeMap<Tuple, u64>,
+    counts: HashMap<VidRow, u64>,
 }
 
 impl CountedRelation {
@@ -31,7 +51,7 @@ impl CountedRelation {
     pub fn empty(arity: usize) -> Self {
         CountedRelation {
             arity,
-            counts: BTreeMap::new(),
+            counts: HashMap::new(),
         }
     }
 
@@ -40,59 +60,55 @@ impl CountedRelation {
         self.arity
     }
 
-    /// Number of distinct tuples with positive support.
+    /// Number of distinct rows with positive support.
     pub fn len(&self) -> usize {
         self.counts.len()
     }
 
-    /// Is the relation empty (no supported tuples)?
+    /// Is the relation empty (no supported rows)?
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
 
-    /// The support count of a tuple (0 when absent).
-    pub fn count(&self, t: &Tuple) -> u64 {
-        self.counts.get(t).copied().unwrap_or(0)
+    /// The support count of a row (0 when absent).
+    pub fn count(&self, row: &[Vid]) -> u64 {
+        self.counts.get(row).copied().unwrap_or(0)
     }
 
     /// Membership in the set view.
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.counts.contains_key(t)
+    pub fn contains(&self, row: &[Vid]) -> bool {
+        self.counts.contains_key(row)
     }
 
-    /// Add `k` derivations of `t`; `Ok(true)` when the tuple becomes
+    /// Add `k` derivations of `row`; `Ok(true)` when the row becomes
     /// newly present (count went 0 → positive). Adding 0 is a no-op.
-    pub fn add(&mut self, t: Tuple, k: u64) -> Result<bool, RelError> {
-        if t.arity() != self.arity {
+    pub fn add(&mut self, row: &[Vid], k: u64) -> Result<bool, RelError> {
+        if row.len() != self.arity {
             return Err(RelError::TupleArity {
                 expected: self.arity,
-                found: t.arity(),
+                found: row.len(),
             });
         }
         if k == 0 {
             return Ok(false);
         }
-        match self.counts.entry(t) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(k);
-                Ok(true)
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                *e.get_mut() += k;
-                Ok(false)
-            }
+        if let Some(c) = self.counts.get_mut(row) {
+            *c += k;
+            return Ok(false);
         }
+        self.counts.insert(row.into(), k);
+        Ok(true)
     }
 
-    /// Retract `k` derivations of `t`; `Ok(true)` when the tuple
-    /// vanishes (count hit exactly 0). Retracting from an absent tuple
+    /// Retract `k` derivations of `row`; `Ok(true)` when the row
+    /// vanishes (count hit exactly 0). Retracting from an absent row
     /// or below zero is an error — the caller's derivation accounting
     /// has drifted.
-    pub fn sub(&mut self, t: &Tuple, k: u64) -> Result<bool, RelError> {
+    pub fn sub(&mut self, row: &[Vid], k: u64) -> Result<bool, RelError> {
         if k == 0 {
             return Ok(false);
         }
-        match self.counts.get_mut(t) {
+        match self.counts.get_mut(row) {
             None => Err(RelError::NegativeSupport {
                 have: 0,
                 retract: k,
@@ -102,7 +118,7 @@ impl CountedRelation {
                 retract: k,
             }),
             Some(c) if *c == k => {
-                self.counts.remove(t);
+                self.counts.remove(row);
                 Ok(true)
             }
             Some(c) => {
@@ -113,39 +129,41 @@ impl CountedRelation {
     }
 
     /// Apply a signed delta: positive `k` adds derivations, negative
-    /// retracts them. Returns `true` when the tuple's *presence*
+    /// retracts them. Returns `true` when the row's *presence*
     /// changed (appeared or vanished).
-    pub fn apply_signed(&mut self, t: &Tuple, k: i64) -> Result<bool, RelError> {
+    pub fn apply_signed(&mut self, row: &[Vid], k: i64) -> Result<bool, RelError> {
         match k.cmp(&0) {
-            std::cmp::Ordering::Greater => self.add(t.clone(), k as u64),
-            std::cmp::Ordering::Less => self.sub(t, k.unsigned_abs()),
+            std::cmp::Ordering::Greater => self.add(row, k as u64),
+            std::cmp::Ordering::Less => self.sub(row, k.unsigned_abs()),
             std::cmp::Ordering::Equal => Ok(false),
         }
     }
 
-    /// Drop a tuple entirely, whatever its count; returns the dropped
+    /// Drop a row entirely, whatever its count; returns the dropped
     /// count (0 when absent). Used by DRed over-deletion, where a
     /// fact's support is recomputed from scratch at re-derivation.
-    pub fn clear_tuple(&mut self, t: &Tuple) -> u64 {
-        self.counts.remove(t).unwrap_or(0)
+    pub fn clear_row(&mut self, row: &[Vid]) -> u64 {
+        self.counts.remove(row).unwrap_or(0)
     }
 
-    /// Iterate over `(tuple, count)` pairs in tuple order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> {
-        self.counts.iter().map(|(t, &c)| (t, c))
+    /// Iterate over `(row, count)` pairs, in hash order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Vid], u64)> {
+        self.counts.iter().map(|(r, &c)| (&**r, c))
     }
 
     /// The set view as a plain [`Relation`].
     pub fn to_relation(&self) -> Relation {
-        Relation::from_tuples(self.arity, self.counts.keys().cloned())
-            .expect("all stored tuples have the stored arity")
+        Relation::from_tuples(self.arity, self.counts.keys().map(|r| row_tuple(r)))
+            .expect("all stored rows have the stored arity")
     }
 }
 
 impl fmt::Debug for CountedRelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut entries: Vec<(Tuple, u64)> = self.iter().map(|(r, c)| (row_tuple(r), c)).collect();
+        entries.sort_unstable();
         write!(f, "{{")?;
-        for (i, (t, c)) in self.counts.iter().enumerate() {
+        for (i, (t, c)) in entries.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -160,60 +178,71 @@ mod tests {
     use super::*;
     use crate::tuple;
 
+    fn r(t: Tuple) -> VidRow {
+        vid_row(&t)
+    }
+
     #[test]
     fn add_and_sub_track_presence() {
-        let mut r = CountedRelation::empty(1);
-        assert!(r.add(tuple![1], 2).unwrap()); // newly present
-        assert!(!r.add(tuple![1], 1).unwrap()); // just more support
-        assert_eq!(r.count(&tuple![1]), 3);
-        assert!(!r.sub(&tuple![1], 2).unwrap());
-        assert!(r.sub(&tuple![1], 1).unwrap()); // vanished
-        assert!(!r.contains(&tuple![1]));
-        assert!(r.is_empty());
+        let mut c = CountedRelation::empty(1);
+        assert!(c.add(&r(tuple![1]), 2).unwrap()); // newly present
+        assert!(!c.add(&r(tuple![1]), 1).unwrap()); // just more support
+        assert_eq!(c.count(&r(tuple![1])), 3);
+        assert!(!c.sub(&r(tuple![1]), 2).unwrap());
+        assert!(c.sub(&r(tuple![1]), 1).unwrap()); // vanished
+        assert!(!c.contains(&r(tuple![1])));
+        assert!(c.is_empty());
     }
 
     #[test]
     fn oversubtraction_is_an_error() {
-        let mut r = CountedRelation::empty(1);
-        r.add(tuple![1], 1).unwrap();
+        let mut c = CountedRelation::empty(1);
+        c.add(&r(tuple![1]), 1).unwrap();
         assert!(matches!(
-            r.sub(&tuple![1], 2),
+            c.sub(&r(tuple![1]), 2),
             Err(RelError::NegativeSupport {
                 have: 1,
                 retract: 2
             })
         ));
-        assert!(r.sub(&tuple![9], 1).is_err());
+        assert!(c.sub(&r(tuple![9]), 1).is_err());
     }
 
     #[test]
     fn signed_application_and_zero_noop() {
-        let mut r = CountedRelation::empty(2);
-        assert!(!r.apply_signed(&tuple![1, 2], 0).unwrap());
-        assert!(r.apply_signed(&tuple![1, 2], 2).unwrap());
-        assert!(!r.apply_signed(&tuple![1, 2], -1).unwrap());
-        assert!(r.apply_signed(&tuple![1, 2], -1).unwrap());
-        assert!(!r.add(tuple![1, 2], 0).unwrap());
-        assert!(!r.sub(&tuple![1, 2], 0).unwrap());
+        let mut c = CountedRelation::empty(2);
+        let row = r(tuple![1, 2]);
+        assert!(!c.apply_signed(&row, 0).unwrap());
+        assert!(c.apply_signed(&row, 2).unwrap());
+        assert!(!c.apply_signed(&row, -1).unwrap());
+        assert!(c.apply_signed(&row, -1).unwrap());
+        assert!(!c.add(&row, 0).unwrap());
+        assert!(!c.sub(&row, 0).unwrap());
     }
 
     #[test]
     fn arity_enforced() {
-        let mut r = CountedRelation::empty(2);
-        assert!(r.add(tuple![1], 1).is_err());
+        let mut c = CountedRelation::empty(2);
+        assert!(c.add(&r(tuple![1]), 1).is_err());
     }
 
     #[test]
     fn clear_tuple_and_set_view() {
-        let mut r = CountedRelation::empty(1);
-        r.add(tuple![1], 5).unwrap();
-        r.add(tuple![2], 1).unwrap();
-        assert_eq!(r.clear_tuple(&tuple![1]), 5);
-        assert_eq!(r.clear_tuple(&tuple![1]), 0);
-        let s = r.to_relation();
+        let mut c = CountedRelation::empty(1);
+        c.add(&r(tuple![1]), 5).unwrap();
+        c.add(&r(tuple!["s"]), 1).unwrap();
+        assert_eq!(c.clear_row(&r(tuple![1])), 5);
+        assert_eq!(c.clear_row(&r(tuple![1])), 0);
+        let s = c.to_relation();
         assert_eq!(s.len(), 1);
-        assert!(s.contains(&tuple![2]));
-        assert_eq!(r.iter().count(), 1);
-        assert_eq!(r.len(), 1);
+        assert!(s.contains(&tuple!["s"]));
+        assert_eq!(c.iter().count(), 1);
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn rows_round_trip_through_tuples() {
+        let t = tuple![-3, "x", 1i64 << 40];
+        assert_eq!(row_tuple(&vid_row(&t)), t);
     }
 }

@@ -1,9 +1,11 @@
 //! Database instances: assignments of finite relations to relation names,
 //! equivalently sets of facts (paper, Section 2).
 
-use crate::delta::InstanceDelta;
+use crate::counted::row_tuple;
+use crate::delta::{InstanceDelta, RelationDelta};
 use crate::error::RelError;
-use crate::fact::{Fact, RelName};
+use crate::fact::{Fact, RelName, Tuple};
+use crate::intern::Vid;
 use crate::relation::{Relation, StorageMode};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -209,6 +211,60 @@ impl Instance {
             self.relations.remove(fact.rel());
         }
         removed
+    }
+
+    /// Insert the id rows `added` into, and remove the id rows
+    /// `removed` from, the relation `name` as one batch — a single run
+    /// merge for a promoted relation instead of one tail edit per row.
+    /// The two sets must be disjoint.
+    pub fn apply_vid_rows<'r>(
+        &mut self,
+        name: &RelName,
+        added: impl IntoIterator<Item = &'r [Vid]>,
+        removed: impl IntoIterator<Item = &'r [Vid]>,
+    ) -> Result<(), RelError> {
+        let arity = self
+            .schema
+            .arity(name)
+            .ok_or_else(|| RelError::UnknownRelation { rel: name.clone() })?;
+        let tuples = |rows: &mut dyn Iterator<Item = &'r [Vid]>| -> Result<Vec<Tuple>, RelError> {
+            let mut out = Vec::new();
+            for row in rows {
+                if row.len() != arity {
+                    return Err(RelError::ArityMismatch {
+                        rel: name.clone(),
+                        expected: arity,
+                        found: row.len(),
+                    });
+                }
+                out.push(row_tuple(row));
+            }
+            out.sort_unstable();
+            Ok(out)
+        };
+        let added = tuples(&mut added.into_iter())?;
+        let removed = tuples(&mut removed.into_iter())?;
+        if added.is_empty() && removed.is_empty() {
+            return Ok(());
+        }
+        let mode = self.mode;
+        let slot = self
+            .relations
+            .entry(name.clone())
+            .or_insert_with(|| Arc::new(Relation::empty_in(mode, arity)));
+        let r = Arc::make_mut(slot);
+        r.apply_delta(&RelationDelta::new(arity, added, removed))?;
+        if r.is_empty() {
+            self.relations.remove(name);
+        }
+        Ok(())
+    }
+
+    /// Does the relation `name` contain this row of interned ids?
+    pub fn contains_vids(&self, name: &RelName, row: &[Vid]) -> bool {
+        self.relations
+            .get(name)
+            .is_some_and(|r| r.contains_vids(row))
     }
 
     /// Does the instance contain this fact?
@@ -455,6 +511,25 @@ mod tests {
 
     fn schema_rs() -> Schema {
         Schema::new().with("R", 2).with("S", 1)
+    }
+
+    #[test]
+    fn vid_row_batches_edit_one_relation() {
+        use crate::counted::vid_row;
+        let mut i = Instance::empty(schema_rs());
+        i.insert_fact(fact!("R", 1, 2)).unwrap();
+        let (r12, r34) = (vid_row(&tuple![1, 2]), vid_row(&tuple![3, 4]));
+        i.apply_vid_rows(&"R".into(), [&*r34], [&*r12]).unwrap();
+        assert!(i.contains_vids(&"R".into(), &r34));
+        assert!(!i.contains_vids(&"R".into(), &r12));
+        assert_eq!(i.fact_count(), 1);
+        // Emptying a relation drops it, like `remove_fact`.
+        i.apply_vid_rows(&"R".into(), [], [&*r34]).unwrap();
+        assert!(i.relation_ref(&"R".into()).is_none());
+        // Undeclared relations and wrong arities are errors.
+        assert!(i.apply_vid_rows(&"Q".into(), [&*r12], []).is_err());
+        assert!(i.apply_vid_rows(&"S".into(), [&*r12], []).is_err());
+        assert!(!i.contains_vids(&"Q".into(), &r12));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod runs;
 mod schema;
 mod value;
 
-pub use counted::CountedRelation;
+pub use counted::{row_tuple, vid_row, CountedRelation, VidRow};
 pub use delta::{InstanceDelta, RelationDelta};
 pub use error::RelError;
 pub use fact::{Fact, RelName, Tuple};

@@ -30,10 +30,12 @@
 //! regimes. Mixed-mode comparisons are supported (an adaptive relation
 //! can equal a btree one).
 
+use crate::counted::row_tuple;
 use crate::delta::RelationDelta;
 use crate::error::RelError;
 use crate::fact::Tuple;
 use crate::index::Index;
+use crate::intern::Vid;
 use crate::runs::{Run, SmallTail, StatCells, StorageStats};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -595,6 +597,29 @@ impl Relation {
         }
     }
 
+    /// Membership of a row of interned ids (`false` on an arity
+    /// mismatch). Promoted relations without pending tails answer by
+    /// binary search over the run's id columns, decoding nothing.
+    pub fn contains_vids(&self, row: &[Vid]) -> bool {
+        if row.len() != self.arity {
+            return false;
+        }
+        match &self.store {
+            Store::Col(c) if c.adds.is_empty() && c.dels.is_empty() => c.base.contains_vids(row),
+            _ => self.contains(&row_tuple(row)),
+        }
+    }
+
+    /// Insert a row of interned ids; `Ok(true)` if newly inserted.
+    pub fn insert_vids(&mut self, row: &[Vid]) -> Result<bool, RelError> {
+        self.insert(row_tuple(row))
+    }
+
+    /// Remove a row of interned ids; `true` if it was present.
+    pub fn remove_vids(&mut self, row: &[Vid]) -> bool {
+        row.len() == self.arity && self.remove(&row_tuple(row))
+    }
+
     /// A secondary index on the given column subset.
     ///
     /// The returned [`Index`] is an immutable snapshot: it stays valid
@@ -1120,6 +1145,36 @@ mod tests {
         for leg in [Leg::Btree, Leg::Small, Leg::Promoted] {
             f(leg);
         }
+    }
+
+    #[test]
+    fn vid_row_edits_match_tuple_edits() {
+        use crate::counted::vid_row;
+        all_modes(|m| {
+            let mut r = m.relation(2, [tuple![1, 2], tuple![3, "x"]]);
+            assert!(r.contains_vids(&vid_row(&tuple![3, "x"])));
+            assert!(!r.contains_vids(&vid_row(&tuple![3, "y"])));
+            assert!(!r.contains_vids(&vid_row(&tuple![3])));
+            assert!(r.insert_vids(&vid_row(&tuple![5, 6])).unwrap());
+            assert!(!r.insert_vids(&vid_row(&tuple![5, 6])).unwrap());
+            assert!(r.insert_vids(&vid_row(&tuple![5])).is_err());
+            assert!(r.remove_vids(&vid_row(&tuple![1, 2])));
+            assert!(!r.remove_vids(&vid_row(&tuple![1, 2])));
+            assert!(!r.remove_vids(&vid_row(&tuple![1])));
+            let want = m.relation(2, [tuple![3, "x"], tuple![5, 6]]);
+            assert_eq!(r, want, "{m:?}");
+        });
+        // A promoted relation with no pending tails answers from its
+        // run's id columns.
+        let big = Relation::from_tuples_in(
+            StorageMode::Adaptive,
+            2,
+            (0..100i64).map(|i| tuple![i, "x"]),
+        )
+        .unwrap();
+        assert!(!big.in_small_regime());
+        assert!(big.contains_vids(&vid_row(&tuple![42, "x"])));
+        assert!(!big.contains_vids(&vid_row(&tuple![42, "y"])));
     }
 
     #[test]

@@ -256,3 +256,148 @@ fn over_deletion_rederivation_is_handled() {
     assert!(fix.stats().facts_rederived > 0, "{:?}", fix.stats());
     assert!(fix.stats().facts_retracted > 0);
 }
+
+/// A delta the fixpoint rejects must leave it exactly as it was: every
+/// fact is validated before anything changes, so removing `e(1,2)`
+/// alongside an undeclared `zz(1)` neither drops the edge nor strands
+/// the `t` facts it derived, and the next valid delta still lands on
+/// the scratch fixpoint.
+#[test]
+fn rejected_delta_leaves_the_fixpoint_untouched() {
+    let p =
+        rtx::query::parser::parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z).").unwrap();
+    let mut base = Instance::from_facts(
+        Schema::new().with("e", 2).with("t", 2),
+        vec![fact!("e", 1, 2), fact!("e", 2, 3)],
+    )
+    .unwrap();
+    let mut fix = MaintainedFixpoint::new(&p).unwrap();
+    fix.initialize(&base).unwrap();
+    let before = fix.current().clone();
+    let bad = InstanceDelta::from_parts(vec![fact!("zz", 1)], vec![fact!("e", 1, 2)]);
+    assert!(fix.apply(&bad).is_err());
+    assert_eq!(fix.current(), &before);
+    assert_eq!(fix.current(), &p.eval(&base).unwrap());
+    // A wrong arity is rejected the same way.
+    let bad_arity = InstanceDelta::from_parts(vec![fact!("e", 1)], vec![fact!("e", 2, 3)]);
+    assert!(fix.apply(&bad_arity).is_err());
+    assert_eq!(fix.current(), &before);
+    let good = InstanceDelta::from_parts(vec![fact!("e", 3, 4)], vec![fact!("e", 1, 2)]);
+    base.apply_delta(&good).unwrap();
+    fix.apply(&good).unwrap();
+    assert_eq!(fix.current(), &p.eval(&base).unwrap());
+}
+
+/// DRed on a reverse chain `e(k+1, k)` whose head `r(n)` has a second
+/// derivation through `r(n+1)`: retracting `s(n)` over-deletes the
+/// whole chain, and re-derivation must put it back with one backward
+/// recount per over-deleted fact — not one rescan of the over-deleted
+/// set per link, which made this delta cubic in `n`.
+#[test]
+fn reverse_chain_rederivation_recounts_each_fact_once() {
+    let n: i64 = 2000;
+    let p = rtx::query::parser::parse_program("r(X) :- s(X). r(Y) :- r(X), e(X,Y).").unwrap();
+    let mut facts: Vec<Fact> = (0..n).map(|k| fact!("e", k + 1, k)).collect();
+    facts.extend([fact!("e", n + 1, n), fact!("s", n), fact!("s", n + 1)]);
+    let mut base =
+        Instance::from_facts(Schema::new().with("e", 2).with("s", 1).with("r", 1), facts).unwrap();
+    let mut fix = MaintainedFixpoint::new(&p).unwrap();
+    fix.initialize(&base).unwrap();
+    let delta = InstanceDelta::from_parts(Vec::new(), vec![fact!("s", n)]);
+    base.apply_delta(&delta).unwrap();
+    fix.apply(&delta).unwrap();
+    assert_eq!(fix.current(), &p.eval(&base).unwrap());
+    let st = fix.stats();
+    assert!(
+        st.backward_counts <= 2 * n as u64,
+        "{} backward recounts for a chain of {n}",
+        st.backward_counts
+    );
+    assert_eq!(st.facts_rederived, n as u64 + 1, "{st:?}");
+}
+
+/// The exact work counters of a magic rebind on a 256-edge chain: the
+/// old answer is over-deleted in a constant number of batch steps, and
+/// the new one is derived one elementary step per fact — so the steps
+/// of a rebind are bounded by the two answers' sizes, with no
+/// wall-clock noise in the bound.
+#[test]
+fn magic_rebind_steps_are_bounded_by_the_answers() {
+    let n: i64 = 256;
+    let p =
+        rtx::query::parser::parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
+    let db = Instance::from_facts(
+        Schema::new().with("e", 2),
+        (0..n).map(|k| fact!("e", k, k + 1)).collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let lookup = |c: i64| Atom::new("p", vec![Term::cons(c), Term::var("Y")]);
+    let mut q = p.for_query(&lookup(100)).unwrap();
+    assert!(q.is_magic());
+    let mut fix = q.maintained(&db).unwrap();
+    let mut old = q.answer_from(fix.current()).unwrap().len() as u64;
+    for c in [7, 200, 0, 255, 128, 31] {
+        let (next, delta) = q.rebind(&lookup(c)).unwrap();
+        let before = fix.stats().clone();
+        fix.apply(&delta).unwrap();
+        let new = next.answer_from(fix.current()).unwrap().len() as u64;
+        assert_eq!(new, (n - c) as u64);
+        let steps = fix.stats().steps - before.steps;
+        assert!(
+            steps <= old + new + 4,
+            "rebind to {c}: {steps} steps for answers of {old} and {new}"
+        );
+        assert!(steps >= new, "one step per derived fact at least");
+        q = next;
+        old = new;
+    }
+}
+
+/// The Theorem 18 palindrome machine compiled to Dedalus: the
+/// incremental deductive fixpoint must replay the scratch one tick for
+/// tick, on palindromes and near-palindromes of every length 4–10.
+/// (In-process replacement for pinning the whole suite to
+/// `RTX_DEDALUS_FIXPOINT=scratch`.)
+#[test]
+fn compiled_turing_machine_traces_match_scratch_fixpoint() {
+    use rtx::dedalus::compile_tm;
+    use rtx::machine::{encode_word, machines};
+    let machine = machines::palindrome();
+    let program = compile_tm(&machine).unwrap();
+    let rt = DedalusRuntime::new(&program).unwrap();
+    let alphabet: Vec<_> = machine.input_alphabet().iter().copied().collect();
+    let opts = DedalusOptions {
+        max_ticks: 5000,
+        async_max_delay: 1,
+        seed: 7,
+        async_faults: None,
+    };
+    for len in 4..=10usize {
+        let pal: String = (0..len)
+            .map(|i| {
+                if i.min(len - 1 - i) % 2 == 0 {
+                    'a'
+                } else {
+                    'b'
+                }
+            })
+            .collect();
+        let mut near: Vec<char> = pal.chars().collect();
+        near[len - 1] = if near[0] == 'a' { 'b' } else { 'a' };
+        for word in [pal, near.into_iter().collect::<String>()] {
+            let edb =
+                TemporalFacts::all_at_zero(&encode_word(&word, alphabet.iter().copied()).unwrap());
+            let inc = rt
+                .run_with_fixpoint(&edb, &opts, StoreMode::Delta, FixpointMode::Incremental)
+                .unwrap();
+            let scr = rt
+                .run_with_fixpoint(&edb, &opts, StoreMode::Delta, FixpointMode::Scratch)
+                .unwrap();
+            assert!(inc.converged(), "{word} did not converge");
+            assert_eq!(inc.converged_at, scr.converged_at, "{word}");
+            assert_eq!(inc.ticks, scr.ticks, "{word}");
+            let accepted = machine.run(&word, 1_000_000).unwrap().accepted();
+            assert_eq!(inc.holds("Accepted"), accepted, "{word}");
+        }
+    }
+}

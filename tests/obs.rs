@@ -357,3 +357,42 @@ fn fixpoint_apply_publishes_deltas_applied() {
     assert_eq!(trace.counters.counter("fixpoint.deltas_applied"), 1);
     assert_eq!(fix.stats().deltas_applied, 1);
 }
+
+/// The maintained fixpoint's exact work counters — elementary steps
+/// and DRed backward recounts — reach the registry as `fixpoint.steps`
+/// and `fixpoint.backward_counts`, equal to the engine's own stats.
+#[test]
+fn fixpoint_apply_publishes_work_counters() {
+    use rtx::query::incremental::MaintainedFixpoint;
+    use rtx::relational::InstanceDelta;
+    let _g = obs_lock();
+    let _ctr = trace::level_guard(TraceLevel::Counters);
+    let p =
+        rtx::query::parser::parse_program("T(X,Y) :- E(X,Y). T(X,Z) :- T(X,Y), E(Y,Z).").unwrap();
+    // A chain with a shortcut: removing E(1,2) over-deletes T(1,·) and
+    // re-derives T(1,3), T(1,4) through E(1,3).
+    let base = Instance::from_facts(
+        Schema::new().with("E", 2).with("T", 2),
+        vec![
+            fact!("E", 1, 2),
+            fact!("E", 2, 3),
+            fact!("E", 3, 4),
+            fact!("E", 1, 3),
+        ],
+    )
+    .unwrap();
+    let mut fix = MaintainedFixpoint::new(&p).unwrap();
+    fix.initialize(&base).unwrap();
+    let before = fix.stats().clone();
+    let delta = InstanceDelta::from_parts(Vec::new(), vec![fact!("E", 1, 2)]);
+    let (res, trace) = trace::capture_run(|| fix.apply(&delta).map(|_| ()));
+    res.unwrap();
+    let st = fix.stats();
+    let (steps, recounts) = (
+        st.steps - before.steps,
+        st.backward_counts - before.backward_counts,
+    );
+    assert!(steps > 0 && recounts > 0, "{st:?}");
+    assert_eq!(trace.counters.counter("fixpoint.steps"), steps);
+    assert_eq!(trace.counters.counter("fixpoint.backward_counts"), recounts);
+}
